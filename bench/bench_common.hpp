@@ -6,6 +6,8 @@
 // explicit numbers or shape criteria, prints paper-vs-measured columns.
 #pragma once
 
+#include <cstdio>
+#include <cstdlib>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -17,6 +19,38 @@
 #include "gpusim/timing.hpp"
 
 namespace ssam::bench {
+
+/// Command line of a bench that writes one JSON result: `[--help]
+/// [out.json]`. Returns the output path (`default_out` when none is given).
+/// `--help` prints the usage and exits 0; an unknown flag or a second path
+/// prints it to stderr and exits 2, so a typo never runs the whole bench
+/// and writes a file named after the typo.
+[[nodiscard]] inline std::string parse_json_out_arg(int argc, char** argv,
+                                                    const char* default_out) {
+  const char* prog = argc > 0 ? argv[0] : "bench";
+  auto usage = [&](std::FILE* f) {
+    std::fprintf(f, "usage: %s [--help] [out.json]\n  out.json  result file (default: %s)\n",
+                 prog, default_out);
+  };
+  std::string out = default_out;
+  bool have_out = false;
+  for (int i = 1; i < argc; ++i) {
+    const std::string arg = argv[i];
+    if (arg == "--help" || arg == "-h") {
+      usage(stdout);
+      std::exit(0);
+    }
+    if (arg.starts_with("-") || have_out) {
+      std::fprintf(stderr, "%s: %s '%s'\n", prog,
+                   arg.starts_with("-") ? "unknown flag" : "unexpected argument", arg.c_str());
+      usage(stderr);
+      std::exit(2);
+    }
+    out = arg;
+    have_out = true;
+  }
+  return out;
+}
 
 /// Timing-mode sample: 96 blocks in 4 contiguous runs (see launch.hpp).
 [[nodiscard]] inline sim::SampleSpec default_sample() { return sim::SampleSpec{96, 4}; }

@@ -37,6 +37,7 @@
 #include <thread>
 #include <vector>
 
+#include "bench_common.hpp"
 #include "common/grid.hpp"
 #include "common/rng.hpp"
 #include "core/job.hpp"
@@ -511,7 +512,9 @@ ServerRow overload_shed(const sim::ArchSpec& arch) {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  const std::string out_path =
+      bench::parse_json_out_arg(argc, argv, "BENCH_server_throughput.json");
   const sim::ArchSpec& arch = sim::tesla_v100();
   std::printf("SimServer throughput (4 x 1-worker devices, %s lanes, %d host threads)\n\n",
               sim::simd::kBackendName, ThreadPool::global().size());
@@ -520,7 +523,7 @@ int main() {
   rows.push_back(saturation(arch));
   rows.push_back(openloop(arch));
   rows.push_back(overload_shed(arch));
-  write_json(rows, "BENCH_server_throughput.json");
+  write_json(rows, out_path.c_str());
 
   // Exit code gates determinism only: throughput and latency vary with the
   // host; a server output differing from the direct call never may.

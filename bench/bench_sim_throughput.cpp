@@ -38,6 +38,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_common.hpp"
 #include "common/rng.hpp"
 #include "common/thread_pool.hpp"
 #include "core/autotune.hpp"
@@ -1393,7 +1394,8 @@ KernelResult autotuned_vs_default_row(const sim::ArchSpec& arch, const char* nam
 }  // namespace
 
 int main(int argc, char** argv) {
-  const char* out_path = argc > 1 ? argv[1] : "BENCH_sim_throughput.json";
+  const std::string out_path =
+      bench::parse_json_out_arg(argc, argv, "BENCH_sim_throughput.json");
   const auto& arch = sim::tesla_v100();
   std::vector<KernelResult> results;
 
@@ -1669,7 +1671,7 @@ int main(int argc, char** argv) {
     results.push_back(r);
   }
 
-  write_json(results, kernel_threads, overlap_threads, out_path);
+  write_json(results, kernel_threads, overlap_threads, out_path.c_str());
 
   const double conv_speedup = results[0].speedup_vs_legacy();
   const double stencil_speedup = results[1].speedup_vs_legacy();

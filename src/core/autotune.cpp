@@ -1,6 +1,9 @@
 #include "core/autotune.hpp"
 
+#include <unistd.h>
+
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <cstdlib>
@@ -411,7 +414,13 @@ void AutoTuner::save_locked() const {
   if (file.has_parent_path()) {
     std::filesystem::create_directories(file.parent_path(), ec);  // best effort
   }
-  const std::string tmp = path_ + ".tmp";
+  // Each save writes its own temp file (process id + a process-wide
+  // sequence number) and renames it over the cache. Concurrent savers —
+  // other processes, or other tuners in this one — never write through the
+  // same temp file, so the cache is always one saver's complete file.
+  static std::atomic<std::uint64_t> save_seq{0};
+  const std::string tmp = path_ + ".tmp." + std::to_string(::getpid()) + "." +
+                          std::to_string(save_seq.fetch_add(1, std::memory_order_relaxed));
   {
     std::ofstream out(tmp, std::ios::trunc);
     if (!out.good()) {
@@ -436,7 +445,10 @@ void AutoTuner::save_locked() const {
     out << "\n  ]\n}\n";
   }
   std::filesystem::rename(tmp, path_, ec);
-  if (ec) log_debug("autotune: cache rename failed: " + ec.message());
+  if (ec) {
+    log_debug("autotune: cache rename failed: " + ec.message());
+    std::filesystem::remove(tmp, ec);
+  }
 }
 
 void AutoTuner::calibrate_locked(const sim::ArchSpec& arch) {

@@ -18,8 +18,8 @@
 // launch, not k, and the only global-array traffic is reading `in` once
 // (fused first sweep) and writing `out` once (fused last sweep). Chains
 // never alias input and output, so both boundary sweeps fuse at any depth
-// — the iteration engine's sweeps >= 3 restriction exists only because
-// iteration reads and writes the same array.
+// — the iteration engine fuses its first sweep only from two sweeps up,
+// because iteration reads and writes the same array.
 //
 // Stage vocabulary (all lowered onto the unmodified SSAM kernel bodies):
 //  * linear stencil — one tap set, optionally temporally blocked (t fused
@@ -336,14 +336,12 @@ PersistentRunStats run_chain2d(const sim::ArchSpec& arch, const Grid2D<T>& in,
   req.align = static_cast<Index>(opt.p);
   req.min_band = min_band;
   req.want_tiles = opt.tiles;
+  req.sweeps = k;
   req.lane_workers = opt.device != nullptr ? opt.device->pool().size() : 0;
   sim::PersistentWorkspace& wsp = ws != nullptr ? *ws : detail::default_workspace();
   const detail::BandLayout L = detail::build_band_layout(req, opt.shard, wsp);
   const int tiles = L.tiles();
-  r.tiles = tiles;
-  r.devices = L.sharded() ? static_cast<int>(L.devices.size()) : 1;
-  r.sharded = L.sharded();
-  r.persistent = true;
+  detail::note_layout(r, L);
   detail::log_policy_decision("run_chain2d", opt.policy, r);
 
   detail::RunControl ctl;
@@ -367,25 +365,10 @@ PersistentRunStats run_chain2d(const sim::ArchSpec& arch, const Grid2D<T>& in,
     wr.hb = hb;
     wr.u0 = y0;
     wr.sweeps = k;
-    T* ba = reinterpret_cast<T*>(L.buf_a[static_cast<std::size_t>(i)]);
-    T* bb = reinterpret_cast<T*>(L.buf_b[static_cast<std::size_t>(i)]);
-    wr.buf_a = ba;
-    wr.buf_b = bb;
-    if (i > 0) {
-      wr.in_lo = &L.chans[static_cast<std::size_t>(2 * (i - 1))];
-      wr.out_lo = &L.chans[static_cast<std::size_t>(2 * (i - 1) + 1)];
-      wr.seam_lo = L.seam_after(i - 1);
-    }
-    if (i + 1 < tiles) {
-      wr.out_hi = &L.chans[static_cast<std::size_t>(2 * i)];
-      wr.in_hi = &L.chans[static_cast<std::size_t>(2 * i + 1)];
-      wr.seam_hi = L.seam_after(i);
-    }
-    wr.counters = L.counters_of(i);
-    if (wr.counters == nullptr && opt.device != nullptr) {
-      wr.counters = &opt.device->counters();
-    }
+    wr.attach(L, i, opt.device);
     wr.control = &ctl;
+    T* ba = wr.buf_a;
+    T* bb = wr.buf_b;
 
     // Sweep s reads epoch s (buffer s % 2) and writes epoch s + 1 (the
     // other buffer); the first sweep reads the global input and the last
@@ -423,20 +406,7 @@ PersistentRunStats run_chain2d(const sim::ArchSpec& arch, const Grid2D<T>& in,
     tile_objs.push_back(std::make_unique<detail::ResidentBandTile<T>>(std::move(wr)));
   }
 
-  std::vector<sim::PersistentTask*> tasks;
-  tasks.reserve(tile_objs.size());
-  for (auto& t : tile_objs) tasks.push_back(t.get());
-  if (!L.sharded()) {
-    sim::run_persistent_on(lane, tasks, &ctl.stop);
-  } else {
-    std::vector<std::span<sim::PersistentTask* const>> groups;
-    groups.reserve(L.tile_range.size());
-    for (const auto& [tb, te] : L.tile_range) {
-      groups.emplace_back(tasks.data() + tb, static_cast<std::size_t>(te - tb));
-    }
-    sim::run_persistent_group(L.devices, groups, &ctl.stop);
-  }
-  ctl.throw_if_aborted();
+  detail::run_band_tiles(L, tile_objs, lane, ctl);
   return r;
 }
 

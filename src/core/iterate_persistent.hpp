@@ -13,10 +13,12 @@
 // The channels are zero-copy: a producer writes its boundary straight into
 // the halo region of the consumer's residence buffer (every tile flips
 // buffers once per sweep, so epoch e lives in buffer e % 2 everywhere), and
-// the epoch counters are pure synchronization. The first sweep reads the
-// source grid directly and the last sweep stores directly back to it, so a
-// run touches the global arrays exactly once on each side with no staging
-// copies at all.
+// the epoch counters are pure synchronization. From two sweeps up the first
+// sweep reads the source grid directly and the last sweep stores directly
+// back to it, so a run touches the global arrays exactly once on each side
+// with no staging copies at all. Residence is bounded: tiles stream through
+// a ring of slot pairs per shard (core/shard.hpp), so a DRAM-sized grid
+// keeps only a cache-sized window resident.
 //
 // Each band sweep replays the unmodified SSAM kernel body (register cache +
 // systolic shuffles) over the residence buffer through the owner's pooled
@@ -88,6 +90,8 @@ struct PersistentRunStats {
   int devices = 1;          ///< shards actually used (after domain clamping)
   bool sharded = false;     ///< true: ran across a virtual device group
   bool persistent = false;  ///< false: per-step relaunch path was used
+  int ring_slots = 0;       ///< residence slot pairs per shard (0: relaunch)
+  std::size_t residence_bytes = 0;  ///< residence arena carved, all shards
 };
 
 namespace detail {
@@ -197,9 +201,9 @@ class ResidentBandTile final : public sim::PersistentTask {
     /// sweep[0] reads buf_a and writes buf_b; sweep[1] the reverse.
     std::function<void(sim::FunctionalBlockContext&)> sweep[2];
     /// Fused boundary sweeps: `first` reads the global array and writes
-    /// buf_b (skips the staged load; engine sets it only when sweeps >= 3,
-    /// which the channel backpressure needs to order the fused final store
-    /// after every neighbour's fused global read); `last` reads
+    /// buf_b (skips the staged load; engine sets it only when sweeps >= 2,
+    /// see iterate_stencil2d_persistent for why that orders every fused
+    /// final store after the neighbours' fused global reads); `last` reads
     /// buf_[(sweeps-1) % 2] and stores straight to the global array.
     /// Either may be empty: the staged kLoad/kDrain copies take over.
     std::function<void(sim::FunctionalBlockContext&)> sweep_first;
@@ -237,20 +241,64 @@ class ResidentBandTile final : public sim::PersistentTask {
     /// through the same epoch-counted channels (epoch s = stage s - 1
     /// output). Chain runs require src != dst, so the first sweep always
     /// reads the global input and the last always stores to the global
-    /// output (both ends fused at ANY depth — the sweeps >= 3 restriction
-    /// exists only because iteration aliases src and dst); the staged
-    /// kLoad/kDrain copies and `sweep`/`sweep_first`/`sweep_last` are
-    /// bypassed entirely. `sweeps` must equal chain.size().
+    /// output (both ends fused at ANY depth — iteration needs sweeps >= 2
+    /// only because it aliases src and dst); the staged kLoad/kDrain
+    /// copies and `sweep`/`sweep_first`/`sweep_last` are bypassed entirely.
+    /// `sweeps` must equal chain.size().
     std::vector<ChainSweep> chain;
+    /// Residence ring (core/shard.hpp): done flags of the previous
+    /// occupants of this tile's slot and of each neighbour's slot (null:
+    /// first occupant, free from the start), and this tile's own flag,
+    /// raised once it no longer touches its slot.
+    const std::atomic<bool>* slot_gate = nullptr;
+    const std::atomic<bool>* lo_slot_gate = nullptr;
+    const std::atomic<bool>* hi_slot_gate = nullptr;
+    std::atomic<bool>* done_flag = nullptr;
+
+    /// Wires tile i of `L`: residence buffers, the four channel ends, seam
+    /// flags, counters (a device-pinned run's device when unsharded) and
+    /// ring gates.
+    void attach(const BandLayout& L, int i, sim::Device* pinned) {
+      const auto u = static_cast<std::size_t>(i);
+      buf_a = reinterpret_cast<T*>(L.buf_a[u]);
+      buf_b = reinterpret_cast<T*>(L.buf_b[u]);
+      aux_res = reinterpret_cast<T*>(L.aux[u]);
+      if (i > 0) {
+        in_lo = &L.chans[2 * u - 2];
+        out_lo = &L.chans[2 * u - 1];
+        seam_lo = L.seam_after(i - 1);
+        lo_slot_gate = L.slot_gate(i - 1);
+      }
+      if (i + 1 < L.tiles()) {
+        out_hi = &L.chans[2 * u];
+        in_hi = &L.chans[2 * u + 1];
+        seam_hi = L.seam_after(i);
+        hi_slot_gate = L.slot_gate(i + 1);
+      }
+      counters = L.counters_of(i);
+      if (counters == nullptr && pinned != nullptr) counters = &pinned->counters();
+      slot_gate = L.slot_gate(i);
+      done_flag = &L.done[u];
+    }
   };
 
   explicit ResidentBandTile(Wiring w) : w_(std::move(w)) {}
 
   [[nodiscard]] bool done() const override { return state_ == State::kDone; }
 
+  /// Waiting for the previous occupant of its ring slot to finish.
+  [[nodiscard]] bool parked() const override {
+    return state_ == State::kLoad && !slot_free(w_.slot_gate);
+  }
+
   [[nodiscard]] bool try_advance() override {
     switch (state_) {
       case State::kLoad: {
+        // The slot must be released by its previous occupant; a staged
+        // load also publishes epoch 0 into both neighbours' slots.
+        if (!slot_free(w_.slot_gate)) return false;
+        const bool staged = w_.chain.empty() && !w_.sweep_first;
+        if (staged && !neighbour_slots_free()) return false;
         if (!w_.chain.empty()) {
           // Chain mode: the first sweep reads the global input (epoch 0
           // needs no publication) and nothing else is resident yet.
@@ -287,6 +335,7 @@ class ResidentBandTile final : public sim::PersistentTask {
         const bool will_publish = s_ + 1 < w_.sweeps;  // the final boundary
                                                        // has no consumer
         if (will_publish) {
+          if (!neighbour_slots_free()) return false;
           if (w_.out_lo != nullptr && !w_.out_lo->can_publish(s_ + 1)) return false;
           if (w_.out_hi != nullptr && !w_.out_hi->can_publish(s_ + 1)) return false;
         }
@@ -324,19 +373,20 @@ class ResidentBandTile final : public sim::PersistentTask {
         return true;
       }
       case State::kDrain: {
-        if (!w_.chain.empty()) {
-          // Chain mode: the fused last sweep already stored to the global
-          // output; nothing is staged.
-          state_ = State::kDone;
-          return true;
+        // Chain mode: the fused last sweep already stored to the global
+        // output; nothing is staged.
+        if (w_.chain.empty()) {
+          if (!w_.sweep_last && w_.sweeps > 0) {
+            copy_units(w_.dst + w_.u0 * w_.unit_elems, cur_buf() + w_.ht * w_.unit_elems,
+                       w_.band);
+          }
+          if (w_.aux_res != nullptr) {
+            copy_units(w_.aux_global + w_.u0 * w_.unit_elems, w_.aux_res, w_.band);
+          }
         }
-        if (!w_.sweep_last && w_.sweeps > 0) {
-          copy_units(w_.dst + w_.u0 * w_.unit_elems, cur_buf() + w_.ht * w_.unit_elems,
-                     w_.band);
-        }
-        if (w_.aux_res != nullptr) {
-          copy_units(w_.aux_global + w_.u0 * w_.unit_elems, w_.aux_res, w_.band);
-        }
+        // Every neighbour has published all it owes this slot (this tile
+        // consumed the last epoch), so the next occupant may take it.
+        if (w_.done_flag != nullptr) w_.done_flag->store(true, std::memory_order_release);
         state_ = State::kDone;
         return true;
       }
@@ -348,6 +398,13 @@ class ResidentBandTile final : public sim::PersistentTask {
 
  private:
   enum class State { kLoad, kStep, kDrain, kDone };
+
+  [[nodiscard]] static bool slot_free(const std::atomic<bool>* gate) {
+    return gate == nullptr || gate->load(std::memory_order_acquire);
+  }
+  [[nodiscard]] bool neighbour_slots_free() const {
+    return slot_free(w_.lo_slot_gate) && slot_free(w_.hi_slot_gate);
+  }
 
   [[nodiscard]] T* cur_buf() const { return flip_ == 0 ? w_.buf_a : w_.buf_b; }
   [[nodiscard]] T* next_buf() const { return flip_ == 0 ? w_.buf_b : w_.buf_a; }
@@ -441,7 +498,42 @@ inline void log_policy_decision(const char* engine, IterationPolicy policy,
   m += ", tiles=" + std::to_string(r.tiles);
   m += ", sweeps=" + std::to_string(r.sweeps);
   m += ", t=" + std::to_string(r.t);
+  m += ", ring_slots=" + std::to_string(r.ring_slots);
+  m += ", residence_bytes=" + std::to_string(r.residence_bytes);
   log_debug(m);
+}
+
+/// Records what a persistent run's band layout resolved to.
+inline void note_layout(PersistentRunStats& r, const BandLayout& L) {
+  r.tiles = L.tiles();
+  r.devices = L.sharded() ? static_cast<int>(L.devices.size()) : 1;
+  r.sharded = L.sharded();
+  r.persistent = true;
+  r.ring_slots = L.ring_slots;
+  r.residence_bytes = L.residence_bytes;
+}
+
+/// Runs the tiles of layout `L` to completion — one cooperative scheduler
+/// on `lane` in single mode, one per device when sharded — then rethrows
+/// what the run recorded on the calling thread.
+template <typename T>
+void run_band_tiles(const BandLayout& L,
+                    const std::vector<std::unique_ptr<ResidentBandTile<T>>>& tile_objs,
+                    ThreadPool& lane, RunControl& ctl) {
+  std::vector<sim::PersistentTask*> tasks;
+  tasks.reserve(tile_objs.size());
+  for (const auto& t : tile_objs) tasks.push_back(t.get());
+  if (!L.sharded()) {
+    sim::run_persistent_on(lane, tasks, &ctl.stop);
+  } else {
+    std::vector<std::span<sim::PersistentTask* const>> groups;
+    groups.reserve(L.tile_range.size());
+    for (const auto& [tb, te] : L.tile_range) {
+      groups.emplace_back(tasks.data() + tb, static_cast<std::size_t>(te - tb));
+    }
+    sim::run_persistent_group(L.devices, groups, &ctl.stop);
+  }
+  ctl.throw_if_aborted();
 }
 
 }  // namespace detail
@@ -609,19 +701,16 @@ PersistentRunStats iterate_stencil2d_persistent(const sim::ArchSpec& arch, Grid2
   req.align = static_cast<Index>(opt.p);
   req.min_band = min_band;
   req.want_tiles = opt.tiles;
+  req.sweeps = sweeps;
   req.has_aux = aux != nullptr;
   req.lane_workers = opt.device != nullptr ? opt.device->pool().size() : 0;
   sim::PersistentWorkspace& wsp = ws != nullptr ? *ws : detail::default_workspace();
   const detail::BandLayout L = detail::build_band_layout(req, opt.shard, wsp);
   const int tiles = L.tiles();
-  r.tiles = tiles;
-  r.devices = L.sharded() ? static_cast<int>(L.devices.size()) : 1;
-  r.sharded = L.sharded();
-  r.persistent = true;
+  detail::note_layout(r, L);
   detail::log_policy_decision("iterate_stencil2d", opt.policy, r);
   if (sweeps == 0) return r;
   const std::vector<Index>& starts = L.starts;
-  const std::span<sim::HaloChannel> chans = L.chans;
 
   detail::RunControl ctl;
   ctl.cancel = opt.cancel;
@@ -644,26 +733,8 @@ PersistentRunStats iterate_stencil2d_persistent(const sim::ArchSpec& arch, Grid2
     wr.hb = hb;
     wr.u0 = y0;
     wr.sweeps = sweeps;
-    wr.buf_a = reinterpret_cast<T*>(L.buf_a[static_cast<std::size_t>(i)]);
-    wr.buf_b = reinterpret_cast<T*>(L.buf_b[static_cast<std::size_t>(i)]);
-    if (aux != nullptr) {
-      wr.aux_global = aux->data();
-      wr.aux_res = reinterpret_cast<T*>(L.aux[static_cast<std::size_t>(i)]);
-    }
-    if (i > 0) {
-      wr.in_lo = &chans[static_cast<std::size_t>(2 * (i - 1))];
-      wr.out_lo = &chans[static_cast<std::size_t>(2 * (i - 1) + 1)];
-      wr.seam_lo = L.seam_after(i - 1);
-    }
-    if (i + 1 < tiles) {
-      wr.out_hi = &chans[static_cast<std::size_t>(2 * i)];
-      wr.in_hi = &chans[static_cast<std::size_t>(2 * i + 1)];
-      wr.seam_hi = L.seam_after(i);
-    }
-    wr.counters = L.counters_of(i);
-    if (wr.counters == nullptr && opt.device != nullptr) {
-      wr.counters = &opt.device->counters();
-    }
+    wr.attach(L, i, opt.device);
+    if (aux != nullptr) wr.aux_global = aux->data();
     wr.control = &ctl;
 
     const GridView2D<const T> in_a(wr.buf_a, w, buf_rows, w);
@@ -699,9 +770,13 @@ PersistentRunStats iterate_stencil2d_persistent(const sim::ArchSpec& arch, Grid2
     wr.sweep[1] = make_body(ht, 0, in_b, out_a);
     if constexpr (!kHasPost) {
       // Fused boundary sweeps (see Wiring): first reads the global array,
-      // last stores to it. The first fusion needs sweeps >= 3 so the
-      // channel backpressure orders it against neighbours' final stores.
-      if (sweeps >= 3) {
+      // last stores to it, and both touch the same array. Neighbour j reads
+      // this tile's edge rows in its fused first sweep (sweep 0); this tile
+      // stores them in its last sweep, which needs epoch sweeps - 1 >= 1
+      // from j, and j publishes epoch 1 only after that read. So every
+      // neighbour's read happens-before the store from sweeps >= 2 on; at
+      // one sweep the read and the store would be the same sweep.
+      if (sweeps >= 2) {
         wr.sweep_first = make_body(y0, ht - y0, a.cview(), out_b);
       }
       wr.sweep_last = make_body(ht, y0 - ht, last_parity == 0 ? in_a : in_b, out_global);
@@ -715,20 +790,7 @@ PersistentRunStats iterate_stencil2d_persistent(const sim::ArchSpec& arch, Grid2
     tile_objs.push_back(std::make_unique<detail::ResidentBandTile<T>>(std::move(wr)));
   }
 
-  std::vector<sim::PersistentTask*> tasks;
-  tasks.reserve(tile_objs.size());
-  for (auto& t : tile_objs) tasks.push_back(t.get());
-  if (!L.sharded()) {
-    sim::run_persistent_on(lane, tasks, &ctl.stop);
-  } else {
-    std::vector<std::span<sim::PersistentTask* const>> groups;
-    groups.reserve(L.tile_range.size());
-    for (const auto& [tb, te] : L.tile_range) {
-      groups.emplace_back(tasks.data() + tb, static_cast<std::size_t>(te - tb));
-    }
-    sim::run_persistent_group(L.devices, groups, &ctl.stop);
-  }
-  ctl.throw_if_aborted();
+  detail::run_band_tiles(L, tile_objs, lane, ctl);
   return r;
 }
 
@@ -884,19 +946,16 @@ PersistentRunStats iterate_stencil3d_persistent(const sim::ArchSpec& arch, Grid3
   req.align = align3;
   req.min_band = std::max<Index>(hz, 1);
   req.want_tiles = opt.tiles;
+  req.sweeps = sweeps;
   req.has_aux = aux != nullptr;
   req.lane_workers = opt.device != nullptr ? opt.device->pool().size() : 0;
   sim::PersistentWorkspace& wsp = ws != nullptr ? *ws : detail::default_workspace();
   const detail::BandLayout L = detail::build_band_layout(req, opt.shard, wsp);
   const int tiles = L.tiles();
-  r.tiles = tiles;
-  r.devices = L.sharded() ? static_cast<int>(L.devices.size()) : 1;
-  r.sharded = L.sharded();
-  r.persistent = true;
+  detail::note_layout(r, L);
   detail::log_policy_decision("iterate_stencil3d", opt.policy, r);
   if (sweeps == 0) return r;
   const std::vector<Index>& starts = L.starts;
-  const std::span<sim::HaloChannel> chans = L.chans;
 
   detail::RunControl ctl;
   ctl.cancel = opt.cancel;
@@ -919,26 +978,8 @@ PersistentRunStats iterate_stencil3d_persistent(const sim::ArchSpec& arch, Grid3
     wr.hb = hz;
     wr.u0 = z0;
     wr.sweeps = sweeps;
-    wr.buf_a = reinterpret_cast<T*>(L.buf_a[static_cast<std::size_t>(i)]);
-    wr.buf_b = reinterpret_cast<T*>(L.buf_b[static_cast<std::size_t>(i)]);
-    if (aux != nullptr) {
-      wr.aux_global = aux->data();
-      wr.aux_res = reinterpret_cast<T*>(L.aux[static_cast<std::size_t>(i)]);
-    }
-    if (i > 0) {
-      wr.in_lo = &chans[static_cast<std::size_t>(2 * (i - 1))];
-      wr.out_lo = &chans[static_cast<std::size_t>(2 * (i - 1) + 1)];
-      wr.seam_lo = L.seam_after(i - 1);
-    }
-    if (i + 1 < tiles) {
-      wr.out_hi = &chans[static_cast<std::size_t>(2 * i)];
-      wr.in_hi = &chans[static_cast<std::size_t>(2 * i + 1)];
-      wr.seam_hi = L.seam_after(i);
-    }
-    wr.counters = L.counters_of(i);
-    if (wr.counters == nullptr && opt.device != nullptr) {
-      wr.counters = &opt.device->counters();
-    }
+    wr.attach(L, i, opt.device);
+    if (aux != nullptr) wr.aux_global = aux->data();
     wr.control = &ctl;
 
     const GridView3D<const T> in_a(wr.buf_a, nx, ny, buf_planes);
@@ -974,7 +1015,8 @@ PersistentRunStats iterate_stencil3d_persistent(const sim::ArchSpec& arch, Grid3
     wr.sweep[0] = make_body(hz, 0, in_a, out_b);
     wr.sweep[1] = make_body(hz, 0, in_b, out_a);
     if constexpr (!kHasPost) {
-      if (sweeps >= 3) {
+      // Fused boundary sweeps from sweeps >= 2 (ordering: see the 2D engine).
+      if (sweeps >= 2) {
         wr.sweep_first = make_body(z0, hz - z0, a.cview(), out_b);
       }
       wr.sweep_last = make_body(hz, z0 - hz, last_parity == 0 ? in_a : in_b, out_global);
@@ -988,20 +1030,7 @@ PersistentRunStats iterate_stencil3d_persistent(const sim::ArchSpec& arch, Grid3
     tile_objs.push_back(std::make_unique<detail::ResidentBandTile<T>>(std::move(wr)));
   }
 
-  std::vector<sim::PersistentTask*> tasks;
-  tasks.reserve(tile_objs.size());
-  for (auto& t : tile_objs) tasks.push_back(t.get());
-  if (!L.sharded()) {
-    sim::run_persistent_on(lane, tasks, &ctl.stop);
-  } else {
-    std::vector<std::span<sim::PersistentTask* const>> groups;
-    groups.reserve(L.tile_range.size());
-    for (const auto& [tb, te] : L.tile_range) {
-      groups.emplace_back(tasks.data() + tb, static_cast<std::size_t>(te - tb));
-    }
-    sim::run_persistent_group(L.devices, groups, &ctl.stop);
-  }
-  ctl.throw_if_aborted();
+  detail::run_band_tiles(L, tile_objs, lane, ctl);
   return r;
 }
 

@@ -124,23 +124,36 @@ double SimServer::model_units(const SimJob& job) const {
   // 2-3x against dense filters and skewed the shared shed EWMA. The shuffle
   // term follows the HORIZONTAL extent (m in Eq. 4 / conv2d_setup terms):
   // the register-cache walk moves along x.
-  int taps = 1;
-  int mx = 1;
-  if (job.kind == JobKind::kConv2D) {
-    mx = std::max(1, job.filter_m);
-    taps = mx * std::max(1, job.filter_n);
-  } else if (!job.shape.taps.empty()) {
+  const perf::MicroLatencies lat = perf::from_arch(*arch_);
+  auto stencil_elem = [&](std::initializer_list<const StencilShape<float>*> shapes) {
+    int taps = 0;
     int dx0 = 0, dx1 = 0;
-    for (const auto& t : job.shape.taps) {
-      dx0 = std::min(dx0, t.dx);
-      dx1 = std::max(dx1, t.dx);
+    for (const StencilShape<float>* shape : shapes) {
+      for (const auto& t : shape->taps) {
+        dx0 = std::min(dx0, t.dx);
+        dx1 = std::max(dx1, t.dx);
+      }
+      taps += static_cast<int>(shape->taps.size());
     }
-    mx = dx1 - dx0 + 1;
-    taps = static_cast<int>(job.shape.taps.size());
+    return perf::latency_ssam_taps(std::max(taps, 1), dx1 - dx0 + 1, lat);
+  };
+  double per_elem = 0.0;  // summed over every sweep the job runs
+  if (job.kind == JobKind::kConv2D) {
+    const int mx = std::max(1, job.filter_m);
+    per_elem = perf::latency_ssam_taps(mx * std::max(1, job.filter_n), mx, lat) *
+               static_cast<double>(std::max(1, job.steps));
+  } else if (job.kind == JobKind::kChain) {
+    // Each stage runs once with its own taps, t fused applications deep; a
+    // dual stage walks both tap sets over one register-cache load.
+    for (const ChainStage<float>& st : job.stages) {
+      per_elem += (st.dual() ? stencil_elem({&st.shape, &st.shape_b})
+                             : stencil_elem({&st.shape})) *
+                  static_cast<double>(std::max(1, st.t));
+    }
+  } else {
+    per_elem = stencil_elem({&job.shape}) * static_cast<double>(std::max(1, job.steps));
   }
-  const double per_elem = perf::latency_ssam_taps(taps, mx, perf::from_arch(*arch_));
-  return per_elem * static_cast<double>(job.cells()) *
-         static_cast<double>(std::max(1, job.steps));
+  return per_elem * static_cast<double>(job.cells());
 }
 
 JobFuture SimServer::submit(SimJob job) {

@@ -185,6 +185,11 @@ class SimServer {
   };
   [[nodiscard]] DeviceHealth device_health(int device) const;
 
+  /// Latency-model work units of a job (perfmodel/latency_model.hpp per-
+  /// element latency x cells, summed over the sweeps it runs; a chain sums
+  /// its stages) — the shed predictor's x-axis.
+  [[nodiscard]] double model_units(const SimJob& job) const;
+
   /// The resolved process config the server was built against.
   [[nodiscard]] const SimConfig& config() const { return config_; }
   [[nodiscard]] const sim::ArchSpec& arch() const { return *arch_; }
@@ -217,9 +222,6 @@ class SimServer {
   // Moves due entries of retry_q_ back to their tenant queues. Lock held.
   bool promote_due_retries_locked(Clock::time_point now);
   void launch_probe(int device);  // called WITHOUT m_ held
-  // Latency-model work units of a job (perfmodel/latency_model.hpp per-
-  // element latency x cells x sweeps) — the shed predictor's x-axis.
-  [[nodiscard]] double model_units(const SimJob& job) const;
   [[nodiscard]] bool idle_locked() const;
 
   ServerOptions opt_;

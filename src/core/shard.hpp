@@ -20,7 +20,9 @@
 #pragma once
 
 #include <algorithm>
+#include <atomic>
 #include <cstddef>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -115,6 +117,27 @@ struct ShardSplit {
   return sp;
 }
 
+/// Residence ring depth of one shard: the slot pairs a run of `sweeps`
+/// sweeps (or chain stages) on `workers` workers keeps in residence at
+/// once. Tile i of a shard lives in slot i mod R, so a DRAM-sized grid
+/// streams through a cache-sized ring instead of carving a buffer pair per
+/// tile (PERKS residency pays only while the resident set fits in cache).
+///
+/// Floor, sweeps + 2: the lowest unfinished tile j needs the tiles up to
+/// j + sweeps loaded and publishing, and those publish into slots up to
+/// j + sweeps + 1 — all free once every tile below j is done. Above the
+/// floor every extra slot is one more tile in flight: with R slots about
+/// R - sweeps tiles can advance concurrently. The per-worker slack keeps
+/// enough of them per worker that owners rarely stall on the wavefront.
+/// Measured on 2-sweep star-2 runs over a 20480x16384 float grid on 4
+/// workers (docs/architecture.md): 4 slots 1.05, 12 slots 1.63, 36 slots
+/// 2.48, 64 slots 2.66-2.84, 124 slots 2.68 Gcell/s.
+inline constexpr int kRingSlackPerWorker = 15;
+
+[[nodiscard]] inline int ring_slots_for(int sweeps, int workers) {
+  return std::max(sweeps, 0) + 2 + kRingSlackPerWorker * std::max(workers, 1);
+}
+
 /// Geometry request of one sharded (or single) persistent band run. All
 /// sizes are in units (rows or planes) and bytes, so one builder serves the
 /// 2D and 3D engines.
@@ -127,7 +150,8 @@ struct BandLayoutRequest {
   Index align = 1;            ///< preferred band multiple (p or valid planes)
   Index min_band = 1;         ///< smallest band that can source a halo
   int want_tiles = 0;         ///< total tile target; 0 = auto per shard
-  bool has_aux = false;       ///< carve an aux residence buffer per tile
+  int sweeps = 0;             ///< sweeps (chain: stages); sizes the ring
+  bool has_aux = false;       ///< carve an aux residence buffer per slot
   /// Single mode: workers of the pool the run executes on, when it is not
   /// the global pool (a device-pinned server job). 0 = global pool size.
   int lane_workers = 0;
@@ -137,6 +161,13 @@ struct BandLayoutRequest {
 /// from the owning device's arena (or the single workspace), and the
 /// channel pool — seam channels included, wired zero-copy into the
 /// neighbouring tile's buffers exactly like intra-shard channels.
+///
+/// Residence is a ring per shard: `ring_slots_for` slot pairs, tile i of a
+/// shard in slot i mod R, so buf_a/buf_b/aux of tiles R apart alias. A tile
+/// may use its slot only once the slot's previous occupant `ring_prev[i]`
+/// is done, and a neighbour may publish into it under the same condition
+/// (`slot_gate`). With tiles <= R every tile is its slot's first occupant
+/// and the layout is one buffer pair per tile.
 struct BandLayout {
   std::vector<Index> starts;              ///< tile starts + end sentinel
   std::vector<int> device_of;             ///< owning shard per tile
@@ -146,6 +177,10 @@ struct BandLayout {
   std::vector<std::byte*> aux;
   std::span<sim::HaloChannel> chans;      ///< 2 * (tiles - 1)
   std::vector<sim::Device*> devices;      ///< empty in single mode
+  std::vector<int> ring_prev;             ///< previous slot occupant; -1: none
+  std::unique_ptr<std::atomic<bool>[]> done;  ///< per tile: drained, slot free
+  int ring_slots = 0;                     ///< slot pairs of the widest shard ring
+  std::size_t residence_bytes = 0;        ///< arena bytes carved, all shards
 
   [[nodiscard]] int tiles() const { return static_cast<int>(starts.size()) - 1; }
   [[nodiscard]] bool sharded() const { return !devices.empty(); }
@@ -159,10 +194,16 @@ struct BandLayout {
     return &devices[static_cast<std::size_t>(device_of[static_cast<std::size_t>(tile)])]
                 ->counters();
   }
+  /// Done flag of the tile that held tile i's slot before it; null when i
+  /// is the slot's first occupant (free from the start).
+  [[nodiscard]] const std::atomic<bool>* slot_gate(int i) const {
+    const int prev = ring_prev[static_cast<std::size_t>(i)];
+    return prev < 0 ? nullptr : &done[static_cast<std::size_t>(prev)];
+  }
 };
 
-/// Splits the domain into shards and tiles, carves every tile's residence
-/// buffers (single mode: from `ws`; sharded: from each owning device's
+/// Splits the domain into shards and tiles, carves every shard's residence
+/// ring (single mode: from `ws`; sharded: from each owning device's
 /// workspace arena), and wires all tile-to-tile channels (intra-shard from
 /// the same pool as seams — the group's peer channels — so the engine
 /// treats every edge uniformly).
@@ -180,16 +221,18 @@ struct BandLayout {
   L.devices = std::move(sp.devices);
 
   // Tiles within each shard, concatenated in global band order.
+  std::vector<int> workers(static_cast<std::size_t>(shards));
   for (int s = 0; s < shards; ++s) {
     const Index u0 = sp.starts[static_cast<std::size_t>(s)];
     const Index su = sp.starts[static_cast<std::size_t>(s) + 1] - u0;
-    const int workers =
+    workers[static_cast<std::size_t>(s)] =
         L.devices.empty()
             ? (req.lane_workers > 0 ? req.lane_workers : ThreadPool::global().size())
             : L.devices[static_cast<std::size_t>(s)]->pool().size();
     const int want = req.want_tiles > 0
                          ? std::max(1, (req.want_tiles + shards - 1) / shards)
-                         : auto_tiles_for(workers, su, unit_bytes);
+                         : auto_tiles_for(workers[static_cast<std::size_t>(s)], su,
+                                          unit_bytes);
     const std::vector<Index> t = partition_bands(su, want, req.align, req.min_band);
     const int begin = static_cast<int>(L.starts.size());
     for (std::size_t i = 0; i + 1 < t.size(); ++i) {
@@ -201,50 +244,56 @@ struct BandLayout {
   L.starts.push_back(req.units);
   const int tiles = L.tiles();
 
-  // Carve residence buffers: one arena call per owning workspace (arena
-  // calls invalidate earlier pointers from the same workspace).
+  // Carve each shard's ring with one arena call per owning workspace (arena
+  // calls invalidate earlier pointers from the same workspace). A slot is
+  // sized for the widest band among its occupants: a, b, then aux.
   L.buf_a.resize(static_cast<std::size_t>(tiles));
   L.buf_b.resize(static_cast<std::size_t>(tiles));
   L.aux.resize(static_cast<std::size_t>(tiles), nullptr);
-  auto range_bytes = [&](int tb, int te) {
-    std::size_t total = skew_bytes;  // tail guard
+  L.ring_prev.assign(static_cast<std::size_t>(tiles), -1);
+  L.done = std::make_unique<std::atomic<bool>[]>(static_cast<std::size_t>(tiles));
+  for (int s = 0; s < shards; ++s) {
+    const auto [tb, te] = L.tile_range[static_cast<std::size_t>(s)];
+    const int slots =
+        std::min(te - tb, ring_slots_for(req.sweeps, workers[static_cast<std::size_t>(s)]));
+    std::vector<Index> slot_band(static_cast<std::size_t>(slots), 0);
     for (int i = tb; i < te; ++i) {
-      const Index band = L.starts[static_cast<std::size_t>(i) + 1] -
-                         L.starts[static_cast<std::size_t>(i)];
-      total += 2 * (static_cast<std::size_t>(req.ht + band + req.hb) * unit_bytes +
-                    skew_bytes);
-      if (req.has_aux) total += static_cast<std::size_t>(band) * unit_bytes + skew_bytes;
+      Index& sb = slot_band[static_cast<std::size_t>((i - tb) % slots)];
+      sb = std::max(sb, L.starts[static_cast<std::size_t>(i) + 1] -
+                            L.starts[static_cast<std::size_t>(i)]);
     }
-    return total;
-  };
-  auto carve_range = [&](std::byte* p, int tb, int te) {
+    auto buf_bytes = [&](Index band) {
+      return static_cast<std::size_t>(req.ht + band + req.hb) * unit_bytes + skew_bytes;
+    };
+    auto aux_bytes = [&](Index band) {
+      return req.has_aux ? static_cast<std::size_t>(band) * unit_bytes + skew_bytes : 0;
+    };
+    std::vector<std::size_t> slot_off(static_cast<std::size_t>(slots) + 1, 0);
+    for (int k = 0; k < slots; ++k) {
+      const Index band = slot_band[static_cast<std::size_t>(k)];
+      slot_off[static_cast<std::size_t>(k) + 1] =
+          slot_off[static_cast<std::size_t>(k)] + 2 * buf_bytes(band) + aux_bytes(band);
+    }
+    const std::size_t bytes = slot_off.back() + skew_bytes;  // tail guard
+    sim::PersistentWorkspace& owner =
+        L.devices.empty() ? ws : L.devices[static_cast<std::size_t>(s)]->workspace();
+    std::byte* base = owner.arena(bytes);
     for (int i = tb; i < te; ++i) {
-      const Index band = L.starts[static_cast<std::size_t>(i) + 1] -
-                         L.starts[static_cast<std::size_t>(i)];
-      const std::size_t step =
-          static_cast<std::size_t>(req.ht + band + req.hb) * unit_bytes + skew_bytes;
+      const int k = (i - tb) % slots;
+      const Index band = slot_band[static_cast<std::size_t>(k)];
+      std::byte* p = base + slot_off[static_cast<std::size_t>(k)];
       L.buf_a[static_cast<std::size_t>(i)] = p;
-      p += step;
-      L.buf_b[static_cast<std::size_t>(i)] = p;
-      p += step;
-      if (req.has_aux) {
-        L.aux[static_cast<std::size_t>(i)] = p;
-        p += static_cast<std::size_t>(band) * unit_bytes + skew_bytes;
-      }
+      L.buf_b[static_cast<std::size_t>(i)] = p + buf_bytes(band);
+      if (req.has_aux) L.aux[static_cast<std::size_t>(i)] = p + 2 * buf_bytes(band);
+      if (i - tb >= slots) L.ring_prev[static_cast<std::size_t>(i)] = i - slots;
     }
-  };
-  if (L.devices.empty()) {
-    carve_range(ws.arena(range_bytes(0, tiles)), 0, tiles);
-  } else {
-    for (int s = 0; s < shards; ++s) {
-      const auto [tb, te] = L.tile_range[static_cast<std::size_t>(s)];
-      carve_range(L.devices[static_cast<std::size_t>(s)]->workspace().arena(
-                      range_bytes(tb, te)),
-                  tb, te);
-    }
+    L.ring_slots = std::max(L.ring_slots, slots);
+    L.residence_bytes += bytes;
   }
 
-  // Channel wiring, uniform across intra-shard and seam edges.
+  // Channel wiring, uniform across intra-shard and seam edges, static over
+  // the whole run: a channel always writes its consumer's slot (the ring
+  // gates who may write when, not where).
   // Channel 2e   (down, tile e -> e+1): writes tile e+1's upper halo.
   // Channel 2e+1 (up, tile e+1 -> e): writes tile e's lower halo units.
   const std::size_t n_chans = tiles > 1 ? static_cast<std::size_t>(2 * (tiles - 1)) : 0;

@@ -1,6 +1,7 @@
 #include "gpusim/persistent.hpp"
 
 #include <thread>
+#include <vector>
 
 namespace ssam::sim {
 
@@ -89,20 +90,20 @@ void run_persistent_on(ThreadPool& pool, std::span<PersistentTask* const> tasks,
         return;
       }
       bool progress = false;
-      bool all_done = true;
+      bool parked = false;
       for (PersistentTask* t : owned) {
-        if (t->done()) continue;
-        all_done = false;
         // Burst: advance this tile as far as its channels allow while its
         // working set is hot in this worker's cache.
         while (t->try_advance()) progress = true;
+        parked = parked || t->parked();
       }
-      if (all_done) {
+      std::erase_if(owned, [](const PersistentTask* t) { return t->done(); });
+      if (owned.empty()) {
         // Everything owned is finished; claim more work or leave.
         if (!claim_one()) return;
         continue;
       }
-      if (!progress && !claim_one()) {
+      if (!progress && (parked || !claim_one())) {
         // Blocked on tiles owned by other participants: let them run — but
         // under an abort that may never come from them, keep polling `stop`
         // (a stopped neighbour will never publish the epoch we wait for).

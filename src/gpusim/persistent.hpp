@@ -24,7 +24,8 @@
 //    exactly once, burst each owned tile as far as its channels allow, and
 //    a fully blocked participant claims more tiles, so the run completes
 //    with ANY number of participating threads (deadlock-free at pool
-//    size 1 by construction).
+//    size 1 by construction). A participant whose tile is parked on a busy
+//    residence slot (the ring of core/shard.hpp) claims nothing further.
 #pragma once
 
 #include <atomic>
@@ -124,6 +125,9 @@ class PersistentTask {
   /// Attempts one unit of progress; returns whether any was made.
   [[nodiscard]] virtual bool try_advance() = 0;
   [[nodiscard]] virtual bool done() const = 0;
+  /// True while the tile cannot start because its residence slot is still
+  /// held by an earlier tile. Its owner then yields instead of claiming.
+  [[nodiscard]] virtual bool parked() const { return false; }
 };
 
 /// Executes every block of a functional launch grid on the *calling* thread
@@ -143,14 +147,23 @@ void run_grid_on_caller(const ArchSpec& arch, const LaunchConfig& cfg, Body&& bo
 
 /// Runs every task to completion on the global persistent worker pool.
 ///
-/// Tiles are claimed exactly once (dynamic, first-come): each participating
-/// thread starts with one tile and *bursts* every owned tile as far as its
-/// channels allow before moving to the next, which is what keeps a tile's
-/// working set hot in the owner's cache between consecutive steps. A
-/// participant whose owned tiles are all blocked claims another unclaimed
-/// tile — so even a single participant ends up owning the whole grid and
-/// the run completes (channel depth >= 2 makes the globally least-advanced
-/// tile always advanceable; see HaloChannel::configure).
+/// Tiles are claimed exactly once (dynamic, first-come, in index order):
+/// each participating thread starts with one tile and *bursts* every owned
+/// tile as far as its channels allow before moving to the next, which is
+/// what keeps a tile's working set hot in the owner's cache between
+/// consecutive steps. A participant whose owned tiles are all blocked
+/// claims another unclaimed tile — so even a single participant ends up
+/// owning the whole grid and the run completes (channel depth >= 2 makes
+/// the globally least-advanced tile always advanceable; see
+/// HaloChannel::configure).
+///
+/// Claim gating: a participant owning a parked tile yields instead of
+/// claiming. Claims are monotonic, so a parked tile i means every tile
+/// below i is already owned by a live participant; with a ring of
+/// R >= sweeps + 2 slots the lowest unfinished tile depends only on tiles
+/// whose slots are free, so it always advances. Without the gate, blocked
+/// participants would claim the whole grid ahead of the ring and strand
+/// the wavefront's tiles on busy owners.
 void run_persistent(std::span<PersistentTask* const> tasks);
 
 /// Same cooperative scheduler on an explicit pool — the per-device entry

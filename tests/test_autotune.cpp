@@ -3,12 +3,15 @@
 // determinism of the model-ranked candidate search.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <string>
+#include <thread>
 
 #include "common/rng.hpp"
 #include "common/thread_pool.hpp"
@@ -235,6 +238,68 @@ TEST(AutotuneCache, MalformedCacheFileStartsEmptyAndRecovers) {
   // The rewritten file must now parse as a valid cache.
   core::AutoTuner fresh(topt);
   EXPECT_EQ(fresh.resolve(arch, job).origin, core::TuneOrigin::kCacheHit);
+}
+
+/// True when `path` holds exactly one complete cache file as save writes
+/// it (or does not exist yet) — not two savers' bytes interleaved.
+bool cache_file_whole(const std::string& path) {
+  std::ifstream in(path);
+  if (!in.good()) return true;
+  const std::string text((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
+  const std::string head = "{\n  \"version\": 1,\n  \"entries\": [";
+  const std::string tail = "\n  ]\n}\n";
+  return text.rfind(head, 0) == 0 && text.find(tail) + tail.size() == text.size() &&
+         text.find("\"version\"", head.size()) == std::string::npos;
+}
+
+TEST(AutotuneCache, ConcurrentSaversLeaveAParseableCache) {
+  // Two tuners (two "processes") share one cache file and save after every
+  // tune, concurrently. Every save must land whole: whenever either reads
+  // the file it is one saver's complete cache, never two writers' bytes
+  // interleaved through a shared temp file.
+  core::TunerOptions topt;
+  topt.cache_path = scratch_cache("ssam_tune_concurrent.json");
+  topt.top_k = 0;
+  const sim::ArchSpec arch = sim::tesla_v100();
+  constexpr int kJobs = 150;
+  Grid2D<float> a(64, 64), b(64, 64);
+  fill_random(a, 19);
+  auto job = [&](int tuner, int i) { return star_job(a, b, 2 + 2 * i + tuner); };
+
+  core::AutoTuner tuners[2] = {core::AutoTuner(topt), core::AutoTuner(topt)};
+  for (auto& t : tuners) (void)t.model(arch);  // calibrate up front: saves overlap
+  std::atomic<int> torn{0};
+  auto saver = [&](int tuner) {
+    for (int i = 0; i < kJobs; ++i) {
+      (void)tuners[tuner].resolve(arch, job(tuner, i));
+      if (!cache_file_whole(topt.cache_path)) torn.fetch_add(1);
+    }
+  };
+  std::thread other(saver, 1);
+  saver(0);
+  other.join();
+  EXPECT_EQ(torn.load(), 0) << "reads of the cache file saw a torn file";
+  ASSERT_TRUE(cache_file_whole(topt.cache_path));
+
+  // A fresh tuner reads every key of whichever tuner saved last.
+  core::AutoTuner fresh(topt);
+  int hits[2] = {0, 0};
+  for (int tuner = 0; tuner < 2; ++tuner) {
+    for (int i = 0; i < kJobs; ++i) {
+      if (fresh.resolve(arch, job(tuner, i)).origin == core::TuneOrigin::kCacheHit) {
+        ++hits[tuner];
+      }
+    }
+  }
+  EXPECT_TRUE(hits[0] == kJobs || hits[1] == kJobs)
+      << "cache hits after concurrent saves: " << hits[0] << " + " << hits[1];
+
+  // No temp file is left behind.
+  const std::filesystem::path cache(topt.cache_path);
+  for (const auto& entry : std::filesystem::directory_iterator(cache.parent_path())) {
+    const std::string name = entry.path().filename().string();
+    EXPECT_NE(name.rfind(cache.filename().string() + ".tmp", 0), 0u) << name;
+  }
 }
 
 TEST(AutotuneSchedule, DescribeNamesEveryKnob) {

@@ -12,7 +12,8 @@
 //    persistent-engine jobs (cooperative scheduling from the drain worker);
 //  * workspace leases come back warm (no new arenas after the first wave);
 //  * invalid jobs fail their future with an error instead of killing the
-//    server; the resolved SimConfig is printable.
+//    server; the resolved SimConfig is printable;
+//  * a chain is priced as the sum of its stages.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -398,6 +399,36 @@ TEST(SimServerTest, InvalidJobFailsItsFutureNotTheServer) {
   const core::SimServer::Stats st = server.stats();
   EXPECT_EQ(st.failed, 1u);
   EXPECT_EQ(st.completed, 2u);
+}
+
+// --------------------------------------------------------------- job pricing
+
+TEST(SimServerTest, ChainPriceIsTheSumOfItsStages) {
+  sim::DeviceGroup group({sim::DeviceOptions{1, {}, "price0"}});
+  core::ServerOptions so;
+  so.group = &group;
+  core::SimServer server(so);
+  Grid2D<float> a(96, 64), b(96, 64);
+  const core::StencilShape<float> star1 = core::star2d<float>(1);
+  const core::StencilShape<float> star2 = core::star2d<float>(2);
+  const core::StencilShape<float> box5 = core::box2d<float>(5, 5);
+  std::vector<core::ChainStage<float>> stages = {
+      core::ChainStage<float>::stencil(star1),
+      core::ChainStage<float>::stencil(star1, 3),
+      core::ChainStage<float>::dual_stencil(box5, star2,
+                                            [](float x, float y) { return x + y; }),
+  };
+  // Equivalent single-stage jobs: one stencil job per stage, a temporal
+  // stage's t as its sweeps, a dual stage as one stencil over both tap sets.
+  core::StencilShape<float> both = box5;
+  both.taps.insert(both.taps.end(), star2.taps.begin(), star2.taps.end());
+  const double sum = server.model_units(core::SimJob::stencil2d(a, b, star1, 1)) +
+                     server.model_units(core::SimJob::stencil2d(a, b, star1, 3)) +
+                     server.model_units(core::SimJob::stencil2d(a, b, both, 1));
+  const double chain = server.model_units(core::SimJob::chain2d(a, b, stages));
+  EXPECT_DOUBLE_EQ(chain, sum);
+  // Not the front stage's taps times the depth.
+  EXPECT_GT(chain, server.model_units(core::SimJob::stencil2d(a, b, star1, 3)));
 }
 
 // ----------------------------------------------------------------- SimConfig
