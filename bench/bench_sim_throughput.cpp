@@ -466,10 +466,10 @@ void stencil2d(const sim::ArchSpec& arch, const GridView2D<const T>& in,
       std::vector<Reg<T>> result(static_cast<std::size_t>(geom.p));
       for (int i = 0; i < geom.p; ++i) {
         Reg<T> sum = wc.uniform(T{});
-        for (std::size_t ci = 0; ci < pass.columns.size(); ++ci) {
+        for (int ci = 0; ci < pass.sweep->pass(0).columns; ++ci) {
           if (ci > 0) sum = wc.shfl_up(kFullMask, sum, 1);
-          for (const core::ColumnTap<T>& tap : pass.columns[ci]) {
-            sum = wc.mad(rows[static_cast<std::size_t>(i + tap.dy - dy_min)],
+          for (const auto& tap : pass.sweep->column(0, ci)) {
+            sum = wc.mad(rows[static_cast<std::size_t>(i + tap.row)],
                          tap.coeff, sum);
           }
         }
@@ -538,10 +538,10 @@ void stencil2d_temporal(const sim::ArchSpec& arch, const GridView2D<const T>& in
             nxt.assign(static_cast<std::size_t>(next_rows), Reg<T>{});
             for (int r = 0; r < next_rows; ++r) {
               Reg<T> sum = wc.uniform(T{});
-              for (std::size_t ci = 0; ci < pass.columns.size(); ++ci) {
+              for (int ci = 0; ci < pass.sweep->pass(0).columns; ++ci) {
                 if (ci > 0) sum = wc.shfl_up(kFullMask, sum, 1);
-                for (const core::ColumnTap<T>& tap : pass.columns[ci]) {
-                  sum = wc.mad(cur[static_cast<std::size_t>(r + tap.dy - dy_min)],
+                for (const auto& tap : pass.sweep->column(0, ci)) {
+                  sum = wc.mad(cur[static_cast<std::size_t>(r + tap.row)],
                                tap.coeff, sum);
                 }
               }
@@ -635,10 +635,10 @@ void stencil3d(const sim::ArchSpec& arch, const GridView3D<const T>& in,
       for (int i = 0; i < p; ++i) {
         Reg<T> s0 = wc.uniform(T{});
         if (center_pass != nullptr) {
-          for (std::size_t ci = 0; ci < center_pass->columns.size(); ++ci) {
+          for (int ci = 0; ci < center_pass->sweep->pass(0).columns; ++ci) {
             if (ci > 0) s0 = wc.shfl_up(kFullMask, s0, 1);
-            for (const core::ColumnTap<T>& tap : center_pass->columns[ci]) {
-              s0 = wc.mad(rows[static_cast<std::size_t>(i + tap.dy - dy_min)], tap.coeff,
+            for (const auto& tap : center_pass->sweep->column(0, ci)) {
+              s0 = wc.mad(rows[static_cast<std::size_t>(i + tap.row)], tap.coeff,
                           s0);
             }
           }
@@ -648,10 +648,10 @@ void stencil3d(const sim::ArchSpec& arch, const GridView3D<const T>& in,
         for (int op = 0; op < n_off; ++op) {
           const core::ColumnPass<T>& pass = off_passes[static_cast<std::size_t>(op)];
           Reg<T> sum = wc.uniform(T{});
-          for (std::size_t ci = 0; ci < pass.columns.size(); ++ci) {
+          for (int ci = 0; ci < pass.sweep->pass(0).columns; ++ci) {
             if (ci > 0) sum = wc.shfl_up(kFullMask, sum, 1);
-            for (const core::ColumnTap<T>& tap : pass.columns[ci]) {
-              sum = wc.mad(rows[static_cast<std::size_t>(i + tap.dy - dy_min)], tap.coeff,
+            for (const auto& tap : pass.sweep->column(0, ci)) {
+              sum = wc.mad(rows[static_cast<std::size_t>(i + tap.row)], tap.coeff,
                            sum);
             }
           }

@@ -1,9 +1,12 @@
 #include "core/autotune.hpp"
 
+#include <fcntl.h>
+#include <sys/file.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <cmath>
 #include <cstdlib>
@@ -23,6 +26,30 @@ namespace ssam::core {
 namespace {
 
 constexpr int kDefaultTopK = 4;
+
+/// Holds an exclusive advisory lock (flock) on `path` while alive. Best
+/// effort: when the lock file cannot be opened, saves go ahead unlocked
+/// (the temp-file rename still keeps the cache whole).
+class FileLock {
+ public:
+  explicit FileLock(const std::string& path)
+      : fd_(::open(path.c_str(), O_RDWR | O_CREAT | O_CLOEXEC, 0644)) {
+    if (fd_ < 0) {
+      log_debug("autotune: cannot open lock file " + path);
+      return;
+    }
+    while (::flock(fd_, LOCK_EX) != 0 && errno == EINTR) {
+    }
+  }
+  ~FileLock() {
+    if (fd_ >= 0) ::close(fd_);  // closing the last descriptor releases the lock
+  }
+  FileLock(const FileLock&) = delete;
+  FileLock& operator=(const FileLock&) = delete;
+
+ private:
+  int fd_;
+};
 
 // Overhead constants, in model units (one unit ~= one simulated cycle of
 // one lane). They only need to be the right order of magnitude: the model
@@ -353,15 +380,23 @@ void AutoTuner::ensure_loaded_locked() {
   if (loaded_) return;
   loaded_ = true;
   if (path_.empty()) return;
-  std::ifstream in(path_);
-  if (!in.good()) return;  // cold cache: the first tune creates the file
+  const int parsed = merge_cache_file(path_, cache_);
+  if (parsed > 0) {
+    log_debug("autotune: loaded " + std::to_string(parsed) + " cache entries from " + path_);
+  }
+}
+
+int AutoTuner::merge_cache_file(const std::string& path,
+                                std::unordered_map<std::string, Entry>& into) {
+  std::ifstream in(path);
+  if (!in.good()) return 0;  // cold cache: the first tune creates the file
   std::stringstream buf;
   buf << in.rdbuf();
   const std::string text = buf.str();
   std::size_t pos = text.find('[');
   if (pos == std::string::npos) {
-    log_debug("autotune: cache file " + path_ + " is malformed, starting empty");
-    return;
+    log_debug("autotune: cache file " + path + " is malformed, starting empty");
+    return 0;
   }
   int parsed = 0;
   while (true) {
@@ -400,24 +435,29 @@ void AutoTuner::ensure_loaded_locked() {
     e.schedule.threads = static_cast<int>(threads);
     e.predicted_ms = predicted;
     e.measured_ms = measured;
-    cache_[key] = std::move(e);
-    ++parsed;
+    if (into.try_emplace(key, std::move(e)).second) ++parsed;
   }
-  log_debug("autotune: loaded " + std::to_string(parsed) + " cache entries from " +
-            path_);
+  return parsed;
 }
 
-void AutoTuner::save_locked() const {
+void AutoTuner::save_locked() {
   if (path_.empty()) return;
   std::error_code ec;
   const std::filesystem::path file(path_);
   if (file.has_parent_path()) {
     std::filesystem::create_directories(file.parent_path(), ec);  // best effort
   }
+  // Savers sharing the file (other processes, other tuners in this one)
+  // take turns under an advisory lock on a sibling lock file (the cache
+  // itself is replaced by rename, so its inode cannot carry the lock), and
+  // each first merges in the entries the others saved: keys this tuner
+  // holds win, every other key survives. Without the merge the last saver
+  // would drop everyone else's entries.
+  const FileLock lock(path_ + ".lock");
+  (void)merge_cache_file(path_, cache_);
   // Each save writes its own temp file (process id + a process-wide
-  // sequence number) and renames it over the cache. Concurrent savers —
-  // other processes, or other tuners in this one — never write through the
-  // same temp file, so the cache is always one saver's complete file.
+  // sequence number) and renames it over the cache, so a reader never sees
+  // a partly written file, even from a saver that could not take the lock.
   static std::atomic<std::uint64_t> save_seq{0};
   const std::string tmp = path_ + ".tmp." + std::to_string(::getpid()) + "." +
                           std::to_string(save_seq.fetch_add(1, std::memory_order_relaxed));

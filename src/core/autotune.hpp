@@ -189,7 +189,11 @@ class AutoTuner {
   };
 
   void ensure_loaded_locked();
-  void save_locked() const;
+  /// Adds the entries of the cache file at `path` whose keys `into` lacks;
+  /// returns how many it added (0 for a missing or malformed file).
+  static int merge_cache_file(const std::string& path,
+                              std::unordered_map<std::string, Entry>& into);
+  void save_locked();
   void calibrate_locked(const sim::ArchSpec& arch);
   std::vector<Candidate> ranked_locked(const SimJob& job, int workers,
                                        bool allow_shards);

@@ -118,12 +118,24 @@ template <typename T>
   return {build_plan(a), build_plan(b)};
 }
 
-/// The plan governing a stage's geometry and halo reach (dual: the padded
-/// primary — both padded plans share extents by construction).
+/// A stage compiled once per chain run and shared by every tile's body:
+/// the plan governing its geometry and halo reach (dual: the padded primary
+/// — both padded plans share extents by construction) and, for a dual
+/// stage, both padded passes as one two-pass tap schedule.
 template <typename T>
-[[nodiscard]] SystolicPlan<T> chain_stage_plan(const ChainStage<T>& st) {
-  if (st.dual()) return dual_plans(st).first;
-  return build_plan(st.shape.taps);
+struct ChainStagePlan {
+  SystolicPlan<T> plan;
+  std::shared_ptr<const sim::TapSchedule<T>> dual_sweep;
+};
+
+template <typename T>
+[[nodiscard]] ChainStagePlan<T> compile_chain_stage(const ChainStage<T>& st) {
+  if (!st.dual()) return {build_plan(st.shape.taps), nullptr};
+  auto [pa, pb] = dual_plans(st);
+  auto sweep = std::make_shared<sim::TapSchedule<T>>();
+  sweep->append(*pa.passes.front().sweep);
+  sweep->append(*pb.passes.front().sweep);
+  return {std::move(pa), std::move(sweep)};
 }
 
 template <typename T>
@@ -136,22 +148,20 @@ void validate_chain_stage(const ChainStage<T>& st) {
   }
 }
 
-/// Dual-stencil body: one register cache load, two partial sums riding the
-/// same column/shuffle schedule (the padded plans guarantee equal extents),
-/// joined element-wise per lane. Mirrors make_stencil2d_body.
+/// Dual-stencil body: one register cache load, two partial sums (the two
+/// passes of `sweep`, whose padded plans share one column schedule) joined
+/// element-wise per lane. Mirrors make_stencil2d_body.
 template <typename T>
-[[nodiscard]] auto make_stencil2d_dual_body(const Stencil2dSetup& s,
-                                            GridView2D<const T> in, ColumnPass<T> pa,
-                                            ColumnPass<T> pb, std::function<T(T, T)> join,
-                                            GridView2D<T> out) {
+[[nodiscard]] auto make_stencil2d_dual_body(const Stencil2dSetup& s, GridView2D<const T> in,
+                                            std::shared_ptr<const sim::TapSchedule<T>> sweep,
+                                            std::function<T(T, T)> join, GridView2D<T> out) {
   const Blocking2D geom = s.geom;
   const int dy_min = s.dy_min;
   const int anchor = s.anchor;
   const Index width = s.width;
   const Index oy_origin = s.row_origin;
   const Index store_off = s.store_row_offset;
-  return [=, pa = std::move(pa), pb = std::move(pb),
-          join = std::move(join)](auto& blk) {
+  return [=, sweep = std::move(sweep), join = std::move(join)](auto& blk) {
     for (int w = 0; w < blk.warp_count(); ++w) {
       auto& wc = blk.warp(w);
       const long long warp_linear =
@@ -163,28 +173,17 @@ template <typename T>
       auto rc = make_register_cache<T>(wc, geom.c());
       rc.load_rows(in, col0, row0);
 
+      // A row's first sum lands in `result`, its second joins into it. The
+      // join is element-wise host code (functional mode never reads
+      // Reg::ready); invalid halo lanes are joined too but never stored.
       InlineVec<Reg<T>, kMaxOutputsPerThread> result(geom.p);
-      for (int i = 0; i < geom.p; ++i) {
-        Reg<T> sa = wc.uniform(T{});
-        Reg<T> sb = wc.uniform(T{});
-        for (std::size_t ci = 0; ci < pa.columns.size(); ++ci) {
-          if (ci > 0) {
-            sa = wc.shfl_up(sim::kFullMask, sa, 1);
-            sb = wc.shfl_up(sim::kFullMask, sb, 1);
-          }
-          for (const ColumnTap<T>& tap : pa.columns[ci]) {
-            sa = wc.mad(rc.row(i + tap.dy - dy_min), tap.coeff, sa);
-          }
-          for (const ColumnTap<T>& tap : pb.columns[ci]) {
-            sb = wc.mad(rc.row(i + tap.dy - dy_min), tap.coeff, sb);
-          }
+      wc.systolic_sweep(rc.rows(), geom.p, *sweep, [&](int k, int i, const Reg<T>& sum) {
+        if (k == 0) {
+          result[i] = sum;
+          return;
         }
-        // The join is element-wise host code (functional mode never reads
-        // Reg::ready); invalid halo lanes are joined too but never stored.
-        Reg<T> r = sa;
-        for (int l = 0; l < sim::kWarpSize; ++l) r.v[l] = join(sa.v[l], sb.v[l]);
-        result[i] = r;
-      }
+        for (int l = 0; l < sim::kWarpSize; ++l) result[i].v[l] = join(result[i].v[l], sum.v[l]);
+      });
 
       store_valid_rows(wc, out, col0 - anchor,
                        oy_origin + store_off + static_cast<Index>(blk.id().y) * geom.p,
@@ -204,8 +203,9 @@ struct Chain2dStageKernel {
 
 template <typename T>
 [[nodiscard]] Chain2dStageKernel make_chain2d_stage_kernel(
-    const ChainStage<T>& st, GridView2D<const T> in, GridView2D<T> out, Index row_origin,
-    Index store_off, Index band, int p, int block_threads) {
+    const ChainStage<T>& st, const ChainStagePlan<T>& cp, GridView2D<const T> in,
+    GridView2D<T> out, Index row_origin, Index store_off, Index band, int p,
+    int block_threads) {
   Chain2dStageKernel k;
   auto place = [&](Stencil2dSetup& s) {
     s.row_origin = row_origin;
@@ -213,16 +213,14 @@ template <typename T>
     if (band >= 0) s.cfg.grid.y = static_cast<int>(ceil_div(band, static_cast<Index>(p)));
     k.cfg = s.cfg;
   };
+  const SystolicPlan<T>& plan = cp.plan;
   if (st.dual()) {
-    auto [pa, pb] = dual_plans(st);
     const StencilOptions sopt{p, block_threads};
-    Stencil2dSetup s = stencil2d_setup(in, pa, sopt);
+    Stencil2dSetup s = stencil2d_setup(in, plan, sopt);
     place(s);
-    k.body = make_stencil2d_dual_body<T>(s, in, pa.passes.front(), pb.passes.front(),
-                                         st.combine, out);
+    k.body = make_stencil2d_dual_body<T>(s, in, cp.dual_sweep, st.combine, out);
     return k;
   }
-  const SystolicPlan<T> plan = build_plan(st.shape.taps);
   if (st.t == 1) {
     const StencilOptions sopt{p, block_threads};
     Stencil2dSetup s = stencil2d_setup(in, plan, sopt);
@@ -282,8 +280,11 @@ PersistentRunStats run_chain2d(const sim::ArchSpec& arch, const Grid2D<T>& in,
   // its smaller window from the filled region.
   Index ht = 0;
   Index hb = 0;
+  std::vector<detail::ChainStagePlan<T>> plans;
+  plans.reserve(stages.size());
   for (const ChainStage<T>& st : stages) {
-    const SystolicPlan<T> plan = detail::chain_stage_plan(st);
+    plans.push_back(detail::compile_chain_stage(st));
+    const SystolicPlan<T>& plan = plans.back().plan;
     ht = std::max<Index>(ht, static_cast<Index>(-st.t * plan.dy_min));
     hb = std::max<Index>(hb, static_cast<Index>(st.t * plan.dy_max));
   }
@@ -313,8 +314,8 @@ PersistentRunStats run_chain2d(const sim::ArchSpec& arch, const Grid2D<T>& in,
       T* dst = s == k - 1 ? out.data() : (s % 2 == 0 ? ping : pong);
       const GridView2D<T> out_v(dst, w, h, w);
       detail::Chain2dStageKernel kk = detail::make_chain2d_stage_kernel(
-          stages[static_cast<std::size_t>(s)], cur, out_v, 0, 0, -1, opt.p,
-          opt.block_threads);
+          stages[static_cast<std::size_t>(s)], plans[static_cast<std::size_t>(s)], cur, out_v,
+          0, 0, -1, opt.p, opt.block_threads);
       sim::detail::run_functional_grid_on(lane, arch, kk.cfg, kk.body);
       if (opt.device != nullptr) {
         opt.device->counters().sweeps.fetch_add(1, std::memory_order_relaxed);
@@ -388,8 +389,8 @@ PersistentRunStats run_chain2d(const sim::ArchSpec& arch, const Grid2D<T>& in,
       const Index origin = first ? y0 : ht;
       const Index soff = first ? ht - y0 : (last ? y0 - ht : 0);
       detail::Chain2dStageKernel kk = detail::make_chain2d_stage_kernel(
-          stages[static_cast<std::size_t>(s)], in_v, out_v, origin, soff, band, opt.p,
-          opt.block_threads);
+          stages[static_cast<std::size_t>(s)], plans[static_cast<std::size_t>(s)], in_v, out_v,
+          origin, soff, band, opt.p, opt.block_threads);
       typename detail::ResidentBandTile<T>::ChainSweep cs;
       cs.cfg = kk.cfg;
       cs.body = std::move(kk.body);

@@ -32,10 +32,17 @@ KernelStats conv1d_ssam(const sim::ArchSpec& arch, std::span<const T> in,
   cfg.block_threads = kBlockThreads;
   cfg.regs_per_thread = conv1d_ssam_regs();
 
+  // D: the M-tap filter as a one-row tap schedule, one column per tap.
+  sim::TapSchedule<T> sched;
+  sched.add_pass();
+  for (int fm = 0; fm < m; ++fm) {
+    sched.add_column();
+    sched.add_tap(0, filter[static_cast<std::size_t>(fm)]);
+  }
+
   const T* src = in.data();
   T* dst = out.data();
-  const T* f = filter.data();
-  auto body = [&, n, m, cx, valid, warps, src, dst, f](auto& blk) {
+  auto body = [&, n, m, cx, valid, warps, src, dst](auto& blk) {
     for (int w = 0; w < warps; ++w) {
       auto& wc = blk.warp(w);
       const long long warp_linear = static_cast<long long>(blk.id().x) * warps + w;
@@ -45,11 +52,8 @@ KernelStats conv1d_ssam(const sim::ArchSpec& arch, std::span<const T> in,
       const Reg<Index> idx = wc.clamp(wc.template iota<Index>(base, 1), Index{0}, n - 1);
       const Reg<T> x = wc.load_global(src, idx);
       // O + D: M MADs with a shift between consecutive filter taps.
-      Reg<T> sum = wc.uniform(T{});
-      for (int fm = 0; fm < m; ++fm) {
-        if (fm > 0) sum = wc.shfl_up(sim::kFullMask, sum, 1);
-        sum = wc.mad(x, f[fm], sum);
-      }
+      Reg<T> sum;
+      wc.systolic_sweep(&x, 1, sched, [&](int, int, const Reg<T>& s) { sum = s; });
       // Y: lanes >= M-1 hold outputs at out_x = base + lane - (M-1) + cx.
       const Reg<Index> out_x =
           wc.affine(wc.template iota<Index>(0, 1), 1, base - (m - 1) + cx);

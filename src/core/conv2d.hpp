@@ -80,12 +80,29 @@ template <typename T>
   return s;
 }
 
+/// The M x N filter (row-major, w[n*M + m]) as a tap schedule: column m
+/// holds the N taps of filter column m, tap n reading register-cache row n
+/// with the weight from shared-memory word n*M + m.
+template <typename T>
+[[nodiscard]] std::shared_ptr<const sim::TapSchedule<T>> conv2d_schedule(const T* wgt, int m,
+                                                                         int n) {
+  auto sched = std::make_shared<sim::TapSchedule<T>>();
+  sched->add_pass();
+  for (int fm = 0; fm < m; ++fm) {
+    sched->add_column();
+    for (int fn = 0; fn < n; ++fn) sched->add_tap(fn, wgt[fn * m + fm], fn * m + fm);
+  }
+  return sched;
+}
+
 /// Mode-generic conv2d body. Every capture is by value (views, geometry, the
-/// raw weight pointer) so the identical body serves synchronous launches and
-/// stream ops that outlive the caller's frame.
+/// raw weight pointer, the shared filter schedule) so the identical body
+/// serves synchronous launches and stream ops that outlive the caller's
+/// frame.
 template <typename T>
 [[nodiscard]] auto make_conv2d_body(const Conv2dSetup& s, GridView2D<const T> in,
                                     const T* wgt, GridView2D<T> out) {
+  const std::shared_ptr<const sim::TapSchedule<T>> sched = conv2d_schedule(wgt, s.m, s.n);
   const Blocking2D geom = s.geom;
   const int m = s.m;
   const int n = s.n;
@@ -110,18 +127,12 @@ template <typename T>
       auto rc = make_register_cache<T>(wc, geom.c());
       rc.load_rows(in, col0, row0);
 
-      // Step 3 (lines 16-29): sliding window of P partial-sum sweeps.
+      // Step 3 (lines 16-29): sliding window of P partial-sum sweeps, the
+      // weights read as shared-memory broadcasts.
       InlineVec<Reg<T>, kMaxOutputsPerThread> result(geom.p);
-      for (int i = 0; i < geom.p; ++i) {
-        Reg<T> sum = wc.uniform(T{});
-        for (int fm = 0; fm < m; ++fm) {
-          if (fm > 0) sum = wc.shfl_up(sim::kFullMask, sum, 1);
-          for (int fn = 0; fn < n; ++fn) {
-            sum = wc.mad_broadcast(rc.row(i + fn), smem, fn * m + fm, sum);
-          }
-        }
-        result[i] = sum;
-      }
+      wc.systolic_sweep(
+          rc.rows(), geom.p, *sched, [&](int, int i, const Reg<T>& sum) { result[i] = sum; },
+          &smem);
 
       // Step 4 (lines 30-31): lanes >= M-1 store valid outputs.
       store_valid_rows(wc, out, col0 - (m - 1) + cx,

@@ -11,21 +11,16 @@
 #pragma once
 
 #include <algorithm>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "common/error.hpp"
+#include "gpusim/tap_schedule.hpp"
 #include "reference/stencil.hpp"
 
 namespace ssam::core {
-
-/// One (dy, coefficient) entry inside a filter column.
-template <typename T>
-struct ColumnTap {
-  int dy = 0;
-  T coeff{};
-};
 
 /// One systolic sweep: all taps sharing a z-offset, organized by x-offset
 /// column. Columns are processed in increasing dx with one shuffle between
@@ -38,16 +33,15 @@ struct ColumnPass {
   int dx_max = 0;
   int dy_min = 0;
   int dy_max = 0;
-  /// columns[dx - dx_min] lists the taps of that column.
-  std::vector<std::vector<ColumnTap<T>>> columns;
+  /// The pass compiled for sim::WarpContextT::systolic_sweep: one schedule
+  /// pass whose column c holds the taps at dx = dx_min + c, each reading
+  /// register-cache row (dy - plan dy_min) relative to the output row.
+  /// Shared, so copies of the pass (one per kernel body) share one schedule.
+  std::shared_ptr<const sim::TapSchedule<T>> sweep;
 
   /// Shuffles needed by this pass (the Section 5.4 cost metric).
   [[nodiscard]] int shifts() const { return dx_max - dx_min; }
-  [[nodiscard]] int tap_count() const {
-    int n = 0;
-    for (const auto& c : columns) n += static_cast<int>(c.size());
-    return n;
-  }
+  [[nodiscard]] int tap_count() const { return sweep->tap_count(); }
 };
 
 /// The complete shift schedule for a stencil/convolution: one pass per
@@ -88,8 +82,11 @@ struct SystolicPlan {
 };
 
 namespace detail {
+/// `row_base` is the plan-wide dy_min: every pass of a plan indexes the same
+/// register cache, whose row 0 holds dy = row_base.
 template <typename T>
-ColumnPass<T> build_pass(int dz, std::vector<ref::Tap<T>> taps, bool dense, int dense_radius) {
+ColumnPass<T> build_pass(int dz, std::vector<ref::Tap<T>> taps, bool dense, int dense_radius,
+                         int row_base) {
   ColumnPass<T> pass;
   pass.dz = dz;
   SSAM_REQUIRE(!taps.empty(), "empty pass");
@@ -109,11 +106,17 @@ ColumnPass<T> build_pass(int dz, std::vector<ref::Tap<T>> taps, bool dense, int 
     pass.dx_min = std::min(pass.dx_min, -dense_radius);
     pass.dx_max = std::max(pass.dx_max, dense_radius);
   }
-  pass.columns.resize(static_cast<std::size_t>(pass.dx_max - pass.dx_min + 1));
-  for (const auto& t : taps) {
-    pass.columns[static_cast<std::size_t>(t.dx - pass.dx_min)].push_back(
-        ColumnTap<T>{t.dy, t.coeff});
+  // Within a column, taps keep their input order (it fixes the MAD order).
+  std::stable_sort(taps.begin(), taps.end(),
+                   [](const ref::Tap<T>& a, const ref::Tap<T>& b) { return a.dx < b.dx; });
+  auto sweep = std::make_shared<sim::TapSchedule<T>>();
+  sweep->add_pass();
+  auto t = taps.begin();
+  for (int dx = pass.dx_min; dx <= pass.dx_max; ++dx) {
+    sweep->add_column();
+    for (; t != taps.end() && t->dx == dx; ++t) sweep->add_tap(t->dy - row_base, t->coeff);
   }
+  pass.sweep = std::move(sweep);
   return pass;
 }
 }  // namespace detail
@@ -125,7 +128,11 @@ template <typename T>
                                          bool dense = false) {
   SSAM_REQUIRE(!taps.empty(), "cannot build a plan for an empty stencil");
   int rx = 0;
-  for (const auto& t : taps) rx = std::max(rx, std::abs(t.dx));
+  int dy_min = taps.front().dy;
+  for (const auto& t : taps) {
+    rx = std::max(rx, std::abs(t.dx));
+    dy_min = std::min(dy_min, t.dy);
+  }
 
   // Group taps by dz, ascending.
   std::vector<int> dzs;
@@ -140,7 +147,7 @@ template <typename T>
     for (const auto& t : taps) {
       if (t.dz == dz) group.push_back(t);
     }
-    plan.passes.push_back(detail::build_pass(dz, std::move(group), dense, rx));
+    plan.passes.push_back(detail::build_pass(dz, std::move(group), dense, rx, dy_min));
   }
   plan.anchor_dx = plan.passes.front().dx_max;
   plan.dx_min = plan.passes.front().dx_min;

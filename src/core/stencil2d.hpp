@@ -3,7 +3,8 @@
 //
 // Unlike the convolution kernel, stencil coefficients travel as kernel
 // arguments (immediates), not through shared memory — stencils have few
-// coefficients (Section 4.8). Structure per sliding-window step:
+// coefficients (Section 4.8). Structure per sliding-window step (the
+// warp's systolic_sweep over the pass's compiled tap schedule):
 //   for each column (increasing dx): shuffle partial sum up one lane, then
 //   MAD every (dy, coeff) tap of the column against the register cache.
 #pragma once
@@ -98,16 +99,8 @@ template <typename T>
       rc.load_rows(in, col0, row0);
 
       InlineVec<Reg<T>, kMaxOutputsPerThread> result(geom.p);
-      for (int i = 0; i < geom.p; ++i) {
-        Reg<T> sum = wc.uniform(T{});
-        for (std::size_t ci = 0; ci < pass.columns.size(); ++ci) {
-          if (ci > 0) sum = wc.shfl_up(sim::kFullMask, sum, 1);
-          for (const ColumnTap<T>& tap : pass.columns[ci]) {
-            sum = wc.mad(rc.row(i + tap.dy - dy_min), tap.coeff, sum);
-          }
-        }
-        result[i] = sum;
-      }
+      wc.systolic_sweep(rc.rows(), geom.p, *pass.sweep,
+                        [&](int, int i, const Reg<T>& sum) { result[i] = sum; });
 
       store_valid_rows(wc, out, col0 - anchor,
                        oy_origin + store_off + static_cast<Index>(blk.id().y) * geom.p,

@@ -90,36 +90,26 @@ template <typename T>
       auto rc = make_register_cache<T>(wc, geom.c());
       rc.load_rows(in, col0, row0);
 
-      // Level 0 = cached input rows; the in-register relaxation ping-pongs
-      // between two fixed buffers (the "two live levels" of the register
-      // estimate), one level per fused step.
-      InlineVec<Reg<T>, kMaxRegCacheRows> buf_a(geom.c());
-      InlineVec<Reg<T>, kMaxRegCacheRows> buf_b;
-      for (int r = 0; r < geom.c(); ++r) buf_a[r] = rc.row(r);
-      auto* cur = &buf_a;
-      auto* nxt = &buf_b;
-
+      // Level 0 = the cached input rows; each fused step sweeps the current
+      // level into one of two fixed buffers (the "two live levels" of the
+      // register estimate), alternating.
+      InlineVec<Reg<T>, kMaxRegCacheRows> levels[2];
+      const Reg<T>* cur = rc.rows();
+      int rows = geom.c();
       for (int s = 0; s < t; ++s) {
-        const int next_rows = cur->size() - dy_span;
-        nxt->resize(next_rows);
-        for (int r = 0; r < next_rows; ++r) {
-          Reg<T> sum = wc.uniform(T{});
-          for (std::size_t ci = 0; ci < pass.columns.size(); ++ci) {
-            if (ci > 0) sum = wc.shfl_up(sim::kFullMask, sum, 1);
-            for (const ColumnTap<T>& tap : pass.columns[ci]) {
-              sum = wc.mad((*cur)[r + tap.dy - dy_min], tap.coeff, sum);
-            }
-          }
-          (*nxt)[r] = sum;
-        }
-        std::swap(cur, nxt);
+        rows -= dy_span;
+        InlineVec<Reg<T>, kMaxRegCacheRows>& nxt = levels[s % 2];
+        nxt.resize(rows);
+        wc.systolic_sweep(cur, rows, *pass.sweep,
+                          [&](int, int r, const Reg<T>& sum) { nxt[r] = sum; });
+        cur = nxt.begin();
       }
 
       // After t sweeps lane l's value sits at out_x = col(l) - t*anchor.
       store_valid_rows(wc, out, col0 - static_cast<Index>(t) * anchor,
                        oy_origin + store_off + static_cast<Index>(blk.id().y) * geom.p,
                        geom.p, geom.span,
-                       [&](int i) -> const Reg<T>& { return (*cur)[i]; });
+                       [&](int i) -> const Reg<T>& { return cur[i]; });
     }
   };
 }

@@ -10,6 +10,7 @@
 // sums with neighbours' published sums and store.
 #pragma once
 
+#include <memory>
 #include <vector>
 
 #include "common/grid.hpp"
@@ -65,9 +66,36 @@ struct Stencil3dSetup {
   /// the other without an intermediate copy.
   Index z_store_offset = 0;
   bool has_center = false;
-  ColumnPass<T> center_pass;
   std::vector<ColumnPass<T>> off_passes;  ///< dz != 0 passes, by value
+  /// Every pass as one schedule: the dz = 0 pass first (if any), then the
+  /// off passes in order. Shared by every body built from this setup.
+  std::shared_ptr<const sim::TapSchedule<T>> sweep;
 };
+
+/// The plan's passes as one schedule, the dz = 0 pass first (the order the
+/// 3D kernels issue them in); returns whether the plan has a dz = 0 pass
+/// and collects the dz != 0 passes into `off_passes`.
+template <typename T>
+bool compile_3d_passes(const SystolicPlan<T>& plan,
+                       std::shared_ptr<const sim::TapSchedule<T>>& sweep,
+                       std::vector<ColumnPass<T>>& off_passes) {
+  auto sched = std::make_shared<sim::TapSchedule<T>>();
+  bool has_center = false;
+  for (const ColumnPass<T>& p : plan.passes) {
+    if (p.dz == 0) {
+      sched->append(*p.sweep);
+      has_center = true;
+    }
+  }
+  for (const ColumnPass<T>& p : plan.passes) {
+    if (p.dz != 0) {
+      sched->append(*p.sweep);
+      off_passes.push_back(p);
+    }
+  }
+  sweep = std::move(sched);
+  return has_center;
+}
 
 template <typename T>
 [[nodiscard]] Stencil3dSetup<T> stencil3d_setup(const GridView3D<const T>& in,
@@ -96,14 +124,7 @@ template <typename T>
   s.geom3.warps = opt.warps;
 
   // Off-plane passes (dz != 0) publish P rows of 32 lanes each to smem.
-  for (const auto& p : plan.passes) {
-    if (p.dz == 0) {
-      s.center_pass = p;
-      s.has_center = true;
-    } else {
-      s.off_passes.push_back(p);
-    }
-  }
+  s.has_center = compile_3d_passes(plan, s.sweep, s.off_passes);
   s.n_off = static_cast<int>(s.off_passes.size());
 
   s.cfg.grid = s.geom3.grid(s.nx, s.ny, s.nz);
@@ -126,8 +147,8 @@ template <typename T>
   return [s = std::move(setup), in, out](auto& blk) {
     const Blocking2D& geom = s.geom;
     const Blocking3D& geom3 = s.geom3;
-    const ColumnPass<T>* center_pass = s.has_center ? &s.center_pass : nullptr;
     const std::vector<ColumnPass<T>>& off_passes = s.off_passes;
+    const int first_off = s.has_center ? 1 : 0;  // schedule pass of off pass 0
     const int dy_min = s.dy_min;
     const int anchor = s.anchor;
     const int n_off = s.n_off;
@@ -162,33 +183,19 @@ template <typename T>
       auto rc = make_register_cache<T>(wc, geom.c());
       rc.load_rows(plane, col0, row0);
 
-      for (int i = 0; i < p; ++i) {
-        // dz = 0 pass stays in registers.
-        Reg<T> s0 = wc.uniform(T{});
-        if (center_pass != nullptr) {
-          for (std::size_t ci = 0; ci < center_pass->columns.size(); ++ci) {
-            if (ci > 0) s0 = wc.shfl_up(sim::kFullMask, s0, 1);
-            for (const ColumnTap<T>& tap : center_pass->columns[ci]) {
-              s0 = wc.mad(rc.row(i + tap.dy - dy_min), tap.coeff, s0);
-            }
-          }
-        }
-        center_sum[w * p + i] = s0;
-
-        // dz != 0 passes go to shared memory.
-        for (int op = 0; op < n_off; ++op) {
-          const ColumnPass<T>& pass = off_passes[static_cast<std::size_t>(op)];
-          Reg<T> sum = wc.uniform(T{});
-          for (std::size_t ci = 0; ci < pass.columns.size(); ++ci) {
-            if (ci > 0) sum = wc.shfl_up(sim::kFullMask, sum, 1);
-            for (const ColumnTap<T>& tap : pass.columns[ci]) {
-              sum = wc.mad(rc.row(i + tap.dy - dy_min), tap.coeff, sum);
-            }
-          }
-          const Reg<int> sidx = wc.template iota<int>(smem_base(w, op, i), 1);
-          wc.store_shared(published, sidx, sum);
-        }
+      // The dz = 0 pass stays in registers; dz != 0 passes go to shared
+      // memory.
+      if (!s.has_center) {
+        for (int i = 0; i < p; ++i) center_sum[w * p + i] = wc.uniform(T{});
       }
+      wc.systolic_sweep(rc.rows(), p, *s.sweep, [&](int k, int i, const Reg<T>& sum) {
+        if (k < first_off) {
+          center_sum[w * p + i] = sum;
+          return;
+        }
+        const Reg<int> sidx = wc.template iota<int>(smem_base(w, k - first_off, i), 1);
+        wc.store_shared(published, sidx, sum);
+      });
     }
     blk.sync();
 
@@ -206,12 +213,8 @@ template <typename T>
                          for (int op = 0; op < n_off; ++op) {
                            const ColumnPass<T>& pass = off_passes[static_cast<std::size_t>(op)];
                            const int producer = w + pass.dz;  // S_dz(z + dz) lives there
-                           const int deficit = anchor - pass.dx_max;
-                           Reg<int> sidx =
-                               wc.add(wc.lane_id(), smem_base(producer, op, i) - deficit);
-                           sidx = wc.clamp(sidx, smem_base(producer, op, i),
-                                           smem_base(producer, op, i) + sim::kWarpSize - 1);
-                           const Reg<T> v = wc.load_shared(published, sidx);
+                           const Reg<T> v = wc.load_shared_shifted(
+                               published, smem_base(producer, op, i), anchor - pass.dx_max);
                            sum = wc.add(sum, v);
                          }
                          return sum;

@@ -19,6 +19,7 @@
 // once per tile and replay it inline on the tile's owner worker.
 #pragma once
 
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -71,8 +72,8 @@ struct Temporal3DSetup {
   /// persistent engine store across arrays).
   Index z_store_offset = 0;
   bool has_center = false;
-  ColumnPass<T> center_pass;
   std::vector<ColumnPass<T>> off_passes;
+  std::shared_ptr<const sim::TapSchedule<T>> sweep;  ///< see compile_3d_passes
 };
 
 template <typename T>
@@ -102,14 +103,7 @@ template <typename T>
   s.geom.p = opt.p;
   s.geom.block_threads = opt.warps * sim::kWarpSize;
 
-  for (const auto& pass : plan.passes) {
-    if (pass.dz == 0) {
-      s.center_pass = pass;
-      s.has_center = true;
-    } else {
-      s.off_passes.push_back(pass);
-    }
-  }
+  s.has_center = compile_3d_passes(plan, s.sweep, s.off_passes);
   s.n_off = static_cast<int>(s.off_passes.size());
   s.vp = opt.warps - 2 * s.t * s.rz;  // valid output planes per block
   s.z_lo = win.origin;
@@ -135,8 +129,8 @@ template <typename T>
                                                 GridView3D<T> out) {
   return [s = std::move(setup), in, out](auto& blk) {
     const Blocking2D& geom = s.geom;
-    const ColumnPass<T>* center_pass = s.has_center ? &s.center_pass : nullptr;
     const std::vector<ColumnPass<T>>& off_passes = s.off_passes;
+    const int first_off = s.has_center ? 1 : 0;  // schedule pass of off pass 0
     const int t = s.t;
     const int rz = s.rz;
     const int vp = s.vp;
@@ -185,30 +179,19 @@ template <typename T>
       const int w_hi = warps - 1 - step * rz;
       for (int w = w_lo; w <= w_hi; ++w) {
         auto& wc = blk.warp(w);
-        for (int r = 0; r < rows_next; ++r) {
-          Reg<T> s0 = wc.uniform(T{});
-          if (center_pass != nullptr) {
-            for (std::size_t ci = 0; ci < center_pass->columns.size(); ++ci) {
-              if (ci > 0) s0 = wc.shfl_up(sim::kFullMask, s0, 1);
-              for (const ColumnTap<T>& tap : center_pass->columns[ci]) {
-                s0 = wc.mad(level[w * c0 + r + tap.dy - dy_min], tap.coeff, s0);
-              }
-            }
-          }
-          center_sums[w * c0 + r] = s0;
-          for (int slot = 0; slot < n_off; ++slot) {
-            const ColumnPass<T>& pass = off_passes[static_cast<std::size_t>(slot)];
-            Reg<T> sum = wc.uniform(T{});
-            for (std::size_t ci = 0; ci < pass.columns.size(); ++ci) {
-              if (ci > 0) sum = wc.shfl_up(sim::kFullMask, sum, 1);
-              for (const ColumnTap<T>& tap : pass.columns[ci]) {
-                sum = wc.mad(level[w * c0 + r + tap.dy - dy_min], tap.coeff, sum);
-              }
-            }
-            wc.store_shared(published, wc.template iota<int>(smem_base(w, slot, r), 1),
-                            sum);
-          }
+        if (!s.has_center) {
+          for (int r = 0; r < rows_next; ++r) center_sums[w * c0 + r] = wc.uniform(T{});
         }
+        wc.systolic_sweep(&level[w * c0], rows_next, *s.sweep,
+                          [&](int k, int r, const Reg<T>& sum) {
+                            if (k < first_off) {
+                              center_sums[w * c0 + r] = sum;
+                              return;
+                            }
+                            wc.store_shared(
+                                published,
+                                wc.template iota<int>(smem_base(w, k - first_off, r), 1), sum);
+                          });
       }
       blk.sync();
 
@@ -224,11 +207,8 @@ template <typename T>
           for (int slot = 0; slot < n_off; ++slot) {
             const ColumnPass<T>& pass = off_passes[static_cast<std::size_t>(slot)];
             const int producer = w + pass.dz;
-            const int deficit = anchor - pass.dx_max;
-            Reg<int> sidx = wc.add(wc.lane_id(), smem_base(producer, slot, r) - deficit);
-            sidx = wc.clamp(sidx, smem_base(producer, slot, r),
-                            smem_base(producer, slot, r) + sim::kWarpSize - 1);
-            sum = wc.add(sum, wc.load_shared(published, sidx));
+            sum = wc.add(sum, wc.load_shared_shifted(published, smem_base(producer, slot, r),
+                                                     anchor - pass.dx_max));
           }
           level[w * c0 + r] = sum;
         }

@@ -23,6 +23,7 @@
 
 #include <immintrin.h>
 
+#include <cstddef>
 #include <cstdint>
 
 #include "gpusim/simd/scalar.hpp"
@@ -106,6 +107,49 @@ inline void butterfly32(void* d, const void* a, int lane_mask) {
   const __m256i cross_hi = _mm256_shuffle_epi32(cross_sum, 0x73);  // into high dwords
   const __m256i prod_ll = _mm256_mul_epu32(a, b);             // a_lo*b_lo, full 64
   return _mm256_add_epi64(prod_ll, cross_hi);
+}
+
+/// Systolic sweep of G rows with every partial sum held in four ymm
+/// registers for the whole column walk. The shfl_up by one lane rotates
+/// each chunk up one lane (vpermps) and blends in lane 7 of the chunk below
+/// (lane 0 of chunk 0 keeps its own value). mad stays mul-then-add with
+/// the row lanes as the first factor, operand for operand like mad_s.
+template <int G>
+inline void sweep_rows(float* out, std::size_t out_stride, const float* rows,
+                       std::size_t row_stride, SweepPass<float> pass) {
+  const __m256i rot_up = _mm256_setr_epi32(7, 0, 1, 2, 3, 4, 5, 6);
+  __m256 acc[G][4];
+  for (int g = 0; g < G; ++g) {
+    for (int c = 0; c < 4; ++c) acc[g][c] = _mm256_setzero_ps();
+  }
+  std::int32_t t = pass.first;
+  for (int col = 0; col < pass.columns; ++col) {
+    if (col > 0) {
+      for (int g = 0; g < G; ++g) {
+        __m256 below = acc[g][0];  // chunk 0's lane 0 keeps its own value
+        for (int c = 0; c < 4; ++c) {
+          const __m256 rot = _mm256_permutevar8x32_ps(acc[g][c], rot_up);
+          acc[g][c] = _mm256_blend_ps(rot, below, 0x01);
+          below = rot;
+        }
+      }
+    }
+    for (; t < pass.col_end[col]; ++t) {
+      const SweepTap<float>& tap = pass.taps[t];
+      const __m256 cv = _mm256_set1_ps(tap.coeff);
+      for (int g = 0; g < G; ++g) {
+        const float* rp =
+            byte_offset(rows, static_cast<std::size_t>(tap.row + g) * row_stride);
+        for (int c = 0; c < 4; ++c) {
+          acc[g][c] = _mm256_add_ps(_mm256_mul_ps(_mm256_loadu_ps(rp + 8 * c), cv), acc[g][c]);
+        }
+      }
+    }
+  }
+  for (int g = 0; g < G; ++g) {
+    float* op = byte_offset(out, static_cast<std::size_t>(g) * out_stride);
+    for (int c = 0; c < 4; ++c) _mm256_storeu_ps(op + 8 * c, acc[g][c]);
+  }
 }
 
 }  // namespace avx2
@@ -226,6 +270,17 @@ struct LaneOps<float> : RefOps<float> {
   static void shift_down(float* d, const float* a, int delta) {
     avx2::shift_down32(d, a, delta);
   }
+  // Two rows per group: eight add chains in flight, within the 16 ymm
+  // registers.
+  static void systolic_sweep(float* out, std::size_t out_stride, const float* rows,
+                             std::size_t row_stride, int count, SweepPass<float> pass) {
+    for_row_groups<2>(count, [&](int i, auto g) {
+      avx2::sweep_rows<decltype(g)::value>(
+          byte_offset(out, static_cast<std::size_t>(i) * out_stride), out_stride,
+          byte_offset(rows, static_cast<std::size_t>(i) * row_stride), row_stride, pass);
+    });
+  }
+
   static void butterfly(float* d, const float* a, int lane_mask) {
     avx2::butterfly32(d, a, lane_mask);
   }

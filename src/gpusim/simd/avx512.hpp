@@ -28,6 +28,7 @@
 
 #include <immintrin.h>
 
+#include <cstddef>
 #include <cstdint>
 
 #include "gpusim/simd/scalar.hpp"
@@ -90,6 +91,47 @@ inline void butterfly32(void* d, const void* a, int lane_mask) {
 inline void store_mask32(int* d, __mmask16 lo, __mmask16 hi) {
   _mm512_storeu_si512(d, _mm512_maskz_set1_epi32(lo, 1));
   _mm512_storeu_si512(d + 16, _mm512_maskz_set1_epi32(hi, 1));
+}
+
+/// Systolic sweep of G rows with every partial sum held in two zmm
+/// registers for the whole column walk (no memory round-trip per op). The
+/// shfl_up by one lane is valignd for the high half (lane 15 of the low
+/// half moves in) and a vpermd of the low half whose lane 0 keeps its own
+/// value. mad stays mul-then-add with the row lanes as the first factor,
+/// operand for operand the same as mad_s.
+template <int G>
+inline void sweep_rows(float* out, std::size_t out_stride, const float* rows,
+                       std::size_t row_stride, SweepPass<float> pass) {
+  const __m512i up_lo =
+      _mm512_setr_epi32(0, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14);
+  __m512 lo[G];
+  __m512 hi[G];
+  for (int g = 0; g < G; ++g) lo[g] = hi[g] = _mm512_setzero_ps();
+  std::int32_t t = pass.first;
+  for (int c = 0; c < pass.columns; ++c) {
+    if (c > 0) {
+      for (int g = 0; g < G; ++g) {
+        hi[g] = _mm512_castsi512_ps(_mm512_alignr_epi32(
+            _mm512_castps_si512(hi[g]), _mm512_castps_si512(lo[g]), 15));
+        lo[g] = _mm512_permutexvar_ps(up_lo, lo[g]);
+      }
+    }
+    for (; t < pass.col_end[c]; ++t) {
+      const SweepTap<float>& tap = pass.taps[t];
+      const __m512 cv = _mm512_set1_ps(tap.coeff);
+      for (int g = 0; g < G; ++g) {
+        const float* rp =
+            byte_offset(rows, static_cast<std::size_t>(tap.row + g) * row_stride);
+        lo[g] = _mm512_add_ps(_mm512_mul_ps(_mm512_loadu_ps(rp), cv), lo[g]);
+        hi[g] = _mm512_add_ps(_mm512_mul_ps(_mm512_loadu_ps(rp + 16), cv), hi[g]);
+      }
+    }
+  }
+  for (int g = 0; g < G; ++g) {
+    float* op = byte_offset(out, static_cast<std::size_t>(g) * out_stride);
+    _mm512_storeu_ps(op, lo[g]);
+    _mm512_storeu_ps(op + 16, hi[g]);
+  }
 }
 
 }  // namespace avx512
@@ -199,6 +241,17 @@ struct LaneOps<float> : RefOps<float> {
   }
   static void butterfly(float* d, const float* a, int lane_mask) {
     avx512::butterfly32(d, a, lane_mask);
+  }
+
+  // Four rows per group: eight independent add chains keep both FMA ports
+  // busy while each chain waits out its add latency.
+  static void systolic_sweep(float* out, std::size_t out_stride, const float* rows,
+                             std::size_t row_stride, int count, SweepPass<float> pass) {
+    for_row_groups<4>(count, [&](int i, auto g) {
+      avx512::sweep_rows<decltype(g)::value>(
+          byte_offset(out, static_cast<std::size_t>(i) * out_stride), out_stride,
+          byte_offset(rows, static_cast<std::size_t>(i) * row_stride), row_stride, pass);
+    });
   }
 };
 

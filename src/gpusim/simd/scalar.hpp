@@ -17,7 +17,9 @@
 // and cross-backend bit parity would be flag-dependent.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <type_traits>
 
 namespace ssam::sim::simd {
@@ -33,6 +35,49 @@ inline constexpr int kSimdLanes = 32;
 #else
 #define SSAM_SIMD
 #endif
+
+/// One tap of a systolic sweep: output row i accumulates lane-wise
+/// rows[i + row] * coeff. `slot` is the coefficient's word in a broadcast
+/// shared-memory filter (read only by the timing model).
+template <typename T>
+struct SweepTap {
+  std::int32_t row;
+  std::int32_t slot;
+  T coeff;
+};
+
+/// One pass of a flat tap schedule as the backends see it: `columns`
+/// columns left to right, column c holding the taps with indices
+/// [c == 0 ? first : col_end[c - 1], col_end[c]).
+template <typename T>
+struct SweepPass {
+  const SweepTap<T>* taps;
+  const std::int32_t* col_end;
+  std::int32_t first;
+  int columns;
+};
+
+/// `p` advanced by `bytes` (sweep rows are warp values a stride apart).
+template <typename P>
+[[nodiscard]] inline P* byte_offset(P* p, std::size_t bytes) {
+  using Byte = std::conditional_t<std::is_const_v<P>, const unsigned char, unsigned char>;
+  return reinterpret_cast<P*>(reinterpret_cast<Byte*>(p) + bytes);
+}
+
+/// Splits `count` sweep rows into groups of kGroup plus one smaller
+/// remainder group, calling run(first_row, std::integral_constant<int, G>)
+/// per group, so a backend can hold a compile-time number of partial sums
+/// in registers.
+template <int kGroup, typename Run>
+inline void for_row_groups(int count, Run&& run) {
+  int i = 0;
+  for (; i + kGroup <= count; i += kGroup) run(i, std::integral_constant<int, kGroup>{});
+  if constexpr (kGroup > 1) {
+    if (i < count) {
+      for_row_groups<kGroup - 1>(count - i, [&](int j, auto g) { run(i + j, g); });
+    }
+  }
+}
 
 namespace ref {
 
@@ -221,6 +266,9 @@ template <typename T>
 
 }  // namespace ref
 
+template <typename T>
+struct LaneOps;
+
 /// Reference ops bundle. `LaneOps<T>` (simd.hpp) derives from this; vector
 /// backends specialize `LaneOps` and shadow the statics they accelerate, so
 /// any element type or operation a backend does not cover falls back here.
@@ -250,6 +298,37 @@ struct RefOps {
   static void butterfly(T* d, const T* a, int lane_mask) { ref::butterfly(d, a, lane_mask); }
   static bool unit_stride(const T* idx) { return ref::unit_stride(idx); }
   static bool all_nonzero(const int* p) { return ref::all_nonzero(p); }
+
+  /// The systolic sweep of `count` output rows as the per-op lane loop
+  /// defines it, run through the active backend's own primitives: each
+  /// row's partial sum starts at zero; every column after the first shifts
+  /// it up one lane (shift_up, delta 1), then each of the column's taps
+  /// mads into it (mad_s: row lanes * coefficient + sum). Row i of `rows` /
+  /// `out` starts `row_stride` / `out_stride` bytes after row i - 1.
+  /// Backends that can keep partial sums in registers shadow this.
+  static void systolic_sweep(T* out, std::size_t out_stride, const T* rows,
+                             std::size_t row_stride, int count, SweepPass<T> pass) {
+    using Ops = LaneOps<T>;
+    for (int i = 0; i < count; ++i) {
+      T sum[kSimdLanes];
+      T next[kSimdLanes];
+      Ops::splat(sum, T{});
+      std::int32_t t = pass.first;
+      for (int c = 0; c < pass.columns; ++c) {
+        if (c > 0) {
+          Ops::shift_up(next, sum, 1);
+          std::memcpy(sum, next, sizeof(sum));
+        }
+        for (; t < pass.col_end[c]; ++t) {
+          const SweepTap<T>& tap = pass.taps[t];
+          Ops::mad_s(next, byte_offset(rows, static_cast<std::size_t>(i + tap.row) * row_stride),
+                     tap.coeff, sum);
+          std::memcpy(sum, next, sizeof(sum));
+        }
+      }
+      std::memcpy(byte_offset(out, static_cast<std::size_t>(i) * out_stride), sum, sizeof(sum));
+    }
+  }
 };
 
 /// The customization point the lane engine (gpusim/vec.hpp) dispatches

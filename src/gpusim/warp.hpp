@@ -16,8 +16,11 @@
 // counter behaviour.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <type_traits>
+#include <utility>
 
 #include "common/error.hpp"
 #include "common/types.hpp"
@@ -25,6 +28,7 @@
 #include "gpusim/memsim.hpp"
 #include "gpusim/scoreboard.hpp"
 #include "gpusim/shared_mem.hpp"
+#include "gpusim/tap_schedule.hpp"
 #include "gpusim/vec.hpp"
 
 namespace ssam::sim {
@@ -405,6 +409,30 @@ class WarpContextT {
     }
   }
 
+  /// Reads the 32-lane row s[base .. base + 31] shifted up by `shift` >= 0
+  /// lanes, the lanes below the shift repeating s[base]: lane l reads
+  /// s[base + clamp(l - shift, 0, 31)]. Timing mode issues the op sequence
+  /// that spells this out (add the lane id, clamp into the row, shared
+  /// load); functional mode reads the row as one block and shifts it in
+  /// registers, since the clamped index is not unit-stride and would gather
+  /// lane by lane.
+  template <typename T>
+  [[nodiscard]] Reg<T> load_shared_shifted(const Smem<T>& s, int base, int shift) {
+    SSAM_REQUIRE(shift >= 0, "shared row shift must be non-negative");
+    if constexpr (kTimed) {
+      Reg<int> sidx = add(lane_id(), base - shift);
+      sidx = clamp(sidx, base, base + kWarpSize - 1);
+      return load_shared(s, sidx);
+    } else {
+      Vec<T> row;
+      std::memcpy(row.data(), s.data + base, sizeof(row.lane));
+      Reg<T> r;
+      r.v = Vec<T>::select(Vec<int>::lt(Vec<int>::iota(0, 1), shift), Vec<T>::splat(row[0]),
+                           Vec<T>::shift_up(row, shift));
+      return r;
+    }
+  }
+
   template <typename T>
   void store_shared(const Smem<T>& s, const Reg<int>& idx, const Reg<T>& v,
                     const Pred* active = nullptr) {
@@ -430,6 +458,60 @@ class WarpContextT {
       c.smem_conflict_extra += static_cast<std::uint64_t>(passes - 1);
       const Cycle dep = Scoreboard::ready_max({idx.ready, v.ready, active ? active->ready : 0});
       (void)sb_.issue(dep, passes, 0);
+    }
+  }
+
+  // --------------------------------------------------------- systolic sweep
+
+  /// The systolic sweep of Figure 2c over output rows i in [0, count), for
+  /// every pass k of `sched`: the partial sum starts at zero, shifts one
+  /// lane up (shfl_up) between columns, and each tap of a column MADs
+  /// rows[i + tap.row] * tap.coeff into it; emit(k, i, sum) receives each
+  /// finished sum. With `weights`, a tap's coefficient is the broadcast
+  /// shared read weights[tap.slot] (the filter of Listing 1), which the
+  /// caller keeps equal to tap.coeff.
+  ///
+  /// Timing mode issues exactly that per-row op sequence, a row's passes
+  /// back to back with emit after each, so counters and the scoreboard see
+  /// the hand-written loop. Functional mode hands each pass to the lane
+  /// backend, which keeps a group of rows' partial sums in vector registers
+  /// (bit-identical values); emits then arrive pass by pass per chunk of
+  /// rows. Either way a row's passes are emitted in order, but rows
+  /// interleave differently, so emit may build on the same row's earlier
+  /// passes and on nothing else.
+  template <typename T, typename Emit>
+  void systolic_sweep(const Reg<T>* rows, int count, const TapSchedule<T>& sched, Emit&& emit,
+                      const Smem<T>* weights = nullptr) {
+    if constexpr (kTimed) {
+      for (int i = 0; i < count; ++i) {
+        for (int k = 0; k < sched.passes(); ++k) {
+          const simd::SweepPass<T> pass = sched.pass(k);
+          Reg<T> sum = uniform(T{});
+          std::int32_t t = pass.first;
+          for (int c = 0; c < pass.columns; ++c) {
+            if (c > 0) sum = shfl_up(kFullMask, sum, 1);
+            for (; t < pass.col_end[c]; ++t) {
+              const simd::SweepTap<T>& tap = pass.taps[t];
+              sum = weights != nullptr
+                        ? mad_broadcast(rows[i + tap.row], *weights, tap.slot, sum)
+                        : mad(rows[i + tap.row], tap.coeff, sum);
+            }
+          }
+          emit(k, i, std::as_const(sum));
+        }
+      }
+    } else {
+      (void)weights;
+      constexpr int kChunk = 8;
+      Reg<T> sums[kChunk];
+      for (int i0 = 0; i0 < count; i0 += kChunk) {
+        const int n = std::min(kChunk, count - i0);
+        for (int k = 0; k < sched.passes(); ++k) {
+          Vec<T>::Ops::systolic_sweep(sums[0].v.data(), sizeof(Reg<T>), rows[i0].v.data(),
+                                      sizeof(Reg<T>), n, sched.pass(k));
+          for (int j = 0; j < n; ++j) emit(k, i0 + j, std::as_const(sums[j]));
+        }
+      }
     }
   }
 

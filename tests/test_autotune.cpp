@@ -2,6 +2,8 @@
 // invalidation, the bit-identity guarantee of tuned schedules, and the
 // determinism of the model-ranked candidate search.
 #include <gtest/gtest.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <cstdio>
@@ -299,6 +301,49 @@ TEST(AutotuneCache, ConcurrentSaversLeaveAParseableCache) {
   for (const auto& entry : std::filesystem::directory_iterator(cache.parent_path())) {
     const std::string name = entry.path().filename().string();
     EXPECT_NE(name.rfind(cache.filename().string() + ".tmp", 0), 0u) << name;
+  }
+}
+
+TEST(AutotuneCache, TwoProcessesKeepEachOthersEntries) {
+  // Two processes tune distinct keys into one cache file at the same time.
+  // Each save re-reads the file under the advisory lock and merges, so
+  // every key of both must survive — not just the last saver's.
+  core::TunerOptions topt;
+  topt.cache_path = scratch_cache("ssam_tune_two_procs.json");
+  topt.top_k = 0;  // model-only: the children never run a kernel
+  const sim::ArchSpec arch = sim::tesla_v100();
+  constexpr int kJobs = 40;
+  Grid2D<float> a(64, 64), b(64, 64);
+  fill_random(a, 23);
+  auto job = [&](int proc, int i) { return star_job(a, b, 2 + 2 * i + proc); };
+
+  core::AutoTuner tuner(topt);
+  (void)tuner.model(arch);  // calibrate before forking: children only rank and save
+  pid_t kids[2];
+  for (int proc = 0; proc < 2; ++proc) {
+    kids[proc] = ::fork();
+    ASSERT_GE(kids[proc], 0) << "fork failed";
+    if (kids[proc] == 0) {
+      for (int i = 0; i < kJobs; ++i) {
+        if (tuner.resolve(arch, job(proc, i)).origin != core::TuneOrigin::kModelOnly) {
+          ::_exit(1);
+        }
+      }
+      ::_exit(0);
+    }
+  }
+  for (const pid_t kid : kids) {
+    int status = 0;
+    ASSERT_EQ(::waitpid(kid, &status, 0), kid);
+    ASSERT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0) << "child status " << status;
+  }
+
+  core::AutoTuner fresh(topt);
+  for (int proc = 0; proc < 2; ++proc) {
+    for (int i = 0; i < kJobs; ++i) {
+      EXPECT_EQ(fresh.resolve(arch, job(proc, i)).origin, core::TuneOrigin::kCacheHit)
+          << "process " << proc << " key " << i << " was lost";
+    }
   }
 }
 

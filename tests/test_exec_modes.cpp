@@ -11,16 +11,19 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdio>
 #include <cstdlib>
 #include <new>
 #include <vector>
 
 #include "common/rng.hpp"
+#include "core/conv1d.hpp"
 #include "core/conv2d.hpp"
 #include "core/gemm.hpp"
 #include "core/scan.hpp"
 #include "core/stencil2d.hpp"
 #include "core/stencil2d_temporal.hpp"
+#include "core/stencil3d.hpp"
 #include "core/stencil_shape.hpp"
 #include "gpusim/arch.hpp"
 
@@ -163,6 +166,15 @@ struct GoldenCounters {
 };
 
 void expect_matches_golden(const sim::KernelStats& stats, const GoldenCounters& g) {
+  if (std::getenv("SSAM_PRINT_GOLDEN") != nullptr) {
+    std::printf("  {%.17g, %llu, %llu, %llu, %llu, %llu, %llu}\n", stats.cycles_per_block,
+                static_cast<unsigned long long>(stats.totals.fp_ops),
+                static_cast<unsigned long long>(stats.totals.shfl_ops),
+                static_cast<unsigned long long>(stats.totals.smem_loads),
+                static_cast<unsigned long long>(stats.totals.gmem_load_insts),
+                static_cast<unsigned long long>(stats.totals.gmem_store_insts),
+                static_cast<unsigned long long>(stats.totals.barriers));
+  }
   // Cycles depend (slightly) on host buffer addresses through the modeled
   // cache-set mapping, so they carry a tight band instead of bit equality;
   // op counters are address-independent and must match exactly.
@@ -198,6 +210,48 @@ TEST(GoldenTiming, Stencil2dStar1OnV100) {
                                                  core::ExecMode::kTiming, full_sample());
   // GOLDEN(stencil2d): regenerate by printing stats if the *model* changes.
   const GoldenCounters golden{652.54166666666663, 3200, 1280, 0, 960, 640, 0};
+  expect_matches_golden(stats, golden);
+}
+
+TEST(GoldenTiming, Stencil2dTemporalOnV100) {
+  const auto& arch = sim::tesla_v100();
+  Grid2D<float> in(300, 64);
+  fill_random(in, 19);
+  core::TemporalSsamOptions opt;
+  opt.t = 3;
+  Grid2D<float> out(300, 64);
+  const auto stats = core::stencil2d_ssam_temporal<float>(
+      arch, in.cview(), core::star2d<float>(1), out.view(), opt, core::ExecMode::kTiming,
+      full_sample());
+  // GOLDEN(stencil2d_temporal): regenerate by printing stats if the *model* changes.
+  const GoldenCounters golden{1343.5, 17280, 6912, 0, 1920, 768, 0};
+  expect_matches_golden(stats, golden);
+}
+
+TEST(GoldenTiming, Stencil3dStar2OnV100) {
+  const auto& arch = sim::tesla_v100();
+  Grid3D<float> in(72, 24, 20);
+  fill_random(in, 23);
+  Grid3D<float> out(72, 24, 20);
+  const auto stats = core::stencil3d_ssam<float>(arch, in.cview(), core::star3d<float>(2),
+                                                 out.view(), {}, core::ExecMode::kTiming,
+                                                 full_sample());
+  // GOLDEN(stencil3d): regenerate by printing stats if the *model* changes.
+  const GoldenCounters golden{893.61111111111109, 43200, 11520, 5760, 8640, 1440, 180};
+  expect_matches_golden(stats, golden);
+}
+
+TEST(GoldenTiming, Conv1dOnV100) {
+  const auto& arch = sim::tesla_v100();
+  std::vector<float> in(5000);
+  fill_random(in, 29);
+  std::vector<float> filter(7);
+  fill_random(filter, 31, -0.5, 0.5);
+  std::vector<float> out(in.size());
+  const auto stats = core::conv1d_ssam<float>(arch, in, filter, out, core::ExecMode::kTiming,
+                                              full_sample());
+  // GOLDEN(conv1d): regenerate by printing stats if the *model* changes.
+  const GoldenCounters golden{569.77551020408168, 1351, 1158, 0, 193, 193, 0};
   expect_matches_golden(stats, golden);
 }
 

@@ -22,12 +22,14 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "core/chain.hpp"
 #include "core/conv2d.hpp"
 #include "core/gemm.hpp"
 #include "core/scan.hpp"
 #include "core/stencil2d.hpp"
 #include "core/stencil2d_temporal.hpp"
 #include "core/stencil3d.hpp"
+#include "core/stencil3d_temporal.hpp"
 #include "core/stencil_shape.hpp"
 #include "gpusim/arch.hpp"
 #include "gpusim/simd/simd.hpp"
@@ -365,6 +367,55 @@ std::uint64_t golden_stencil3d() {
   return fnv1a(out.data(), sizeof(float) * static_cast<std::size_t>(out.size()));
 }
 
+// A filter wider than half a warp: 289 taps over 17 shuffled columns.
+std::uint64_t golden_conv2d_17x17() {
+  const auto& arch = sim::tesla_v100();
+  Grid2D<float> in(160, 72);
+  fill_random(in, 15);
+  Grid2D<float> out(160, 72);
+  std::vector<float> w(17 * 17);
+  fill_random(w, 16, -0.05, 0.05);
+  core::conv2d_ssam<float>(arch, in.cview(), w, 17, 17, out.view());
+  return fnv1a(out.data(), sizeof(float) * static_cast<std::size_t>(out.size()));
+}
+
+// A dual chain stage: two partial sums over one register-cache load,
+// joined per lane.
+std::uint64_t golden_chain2d_dual() {
+  Grid2D<float> in(150, 90);
+  fill_random(in, 17);
+  Grid2D<float> out(150, 90);
+  (void)core::run_chain2d<float>(
+      sim::tesla_v100(), in, out,
+      {core::ChainStage<float>::stencil(core::star2d<float>(1)),
+       core::ChainStage<float>::dual_stencil(core::star2d<float>(2),
+                                             core::box2d<float>(3, 3),
+                                             [](float a, float b) { return a - 0.5f * b; })});
+  return fnv1a(out.data(), sizeof(float) * static_cast<std::size_t>(out.size()));
+}
+
+// Star-2 in 3D: the off-plane sums are re-read with a 2-lane shift.
+std::uint64_t golden_stencil3d_star2() {
+  const auto& arch = sim::tesla_v100();
+  Grid3D<float> in(72, 40, 28);
+  fill_random(in, 18);
+  Grid3D<float> out(72, 40, 28);
+  core::stencil3d_ssam<float>(arch, in.cview(), core::star3d<float>(2), out.view());
+  return fnv1a(out.data(), sizeof(float) * static_cast<std::size_t>(out.size()));
+}
+
+std::uint64_t golden_stencil3d_temporal() {
+  const auto& arch = sim::tesla_v100();
+  Grid3D<float> in(64, 36, 30);
+  fill_random(in, 19);
+  Grid3D<float> out(64, 36, 30);
+  core::Temporal3DOptions opt;
+  opt.t = 2;
+  core::stencil3d_ssam_temporal<float>(arch, in.cview(), core::star3d<float>(1), out.view(),
+                                       opt);
+  return fnv1a(out.data(), sizeof(float) * static_cast<std::size_t>(out.size()));
+}
+
 std::uint64_t golden_gemm() {
   const auto& arch = sim::tesla_v100();
   Grid2D<float> a(96, 80), b(112, 96), c(112, 80);
@@ -391,6 +442,10 @@ TEST(KernelGolden, BitIdenticalAcrossBackends) {
       {"stencil3d", golden_stencil3d()},
       {"gemm", golden_gemm()},
       {"scan", golden_scan()},
+      {"conv2d_17x17", golden_conv2d_17x17()},
+      {"chain2d_dual", golden_chain2d_dual()},
+      {"stencil3d_star2", golden_stencil3d_star2()},
+      {"stencil3d_temporal", golden_stencil3d_temporal()},
   };
   if (std::getenv("SSAM_PRINT_GOLDEN") != nullptr) {
     for (const Golden& g : goldens) {
@@ -405,6 +460,10 @@ TEST(KernelGolden, BitIdenticalAcrossBackends) {
       {"stencil3d", 0xf9026ccf1cdd75b6ull},
       {"gemm", 0x81ae90bc5dd70376ull},
       {"scan", 0xc3b6d6659b933233ull},
+      {"conv2d_17x17", 0xa326777922d2898bull},
+      {"chain2d_dual", 0x6800e9fcd23cd3a0ull},
+      {"stencil3d_star2", 0xf5bafab425e6b0e7ull},
+      {"stencil3d_temporal", 0x9e2c92311b73d866ull},
   };
   for (std::size_t i = 0; i < std::size(goldens); ++i) {
     EXPECT_EQ(goldens[i].hash, expected[i].hash)
