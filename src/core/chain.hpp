@@ -173,17 +173,17 @@ template <typename T>
       auto rc = make_register_cache<T>(wc, geom.c());
       rc.load_rows(in, col0, row0);
 
-      // A row's first sum lands in `result`, its second joins into it. The
-      // join is element-wise host code (functional mode never reads
-      // Reg::ready); invalid halo lanes are joined too but never stored.
-      InlineVec<Reg<T>, kMaxOutputsPerThread> result(geom.p);
-      wc.systolic_sweep(rc.rows(), geom.p, *sweep, [&](int k, int i, const Reg<T>& sum) {
-        if (k == 0) {
-          result[i] = sum;
-          return;
+      // Rows [0, p) receive the first sums and rows [p, 2p) the second; the
+      // second joins into the first. The join is element-wise host code
+      // (functional mode never reads Reg::ready); invalid halo lanes are
+      // joined too but never stored.
+      InlineVec<Reg<T>, 2 * kMaxOutputsPerThread> result(2 * geom.p);
+      wc.systolic_sweep(rc.rows(), geom.p, *sweep, result.begin());
+      for (int i = 0; i < geom.p; ++i) {
+        for (int l = 0; l < sim::kWarpSize; ++l) {
+          result[i].v[l] = join(result[i].v[l], result[geom.p + i].v[l]);
         }
-        for (int l = 0; l < sim::kWarpSize; ++l) result[i].v[l] = join(result[i].v[l], sum.v[l]);
-      });
+      }
 
       store_valid_rows(wc, out, col0 - anchor,
                        oy_origin + store_off + static_cast<Index>(blk.id().y) * geom.p,
@@ -285,6 +285,8 @@ PersistentRunStats run_chain2d(const sim::ArchSpec& arch, const Grid2D<T>& in,
   for (const ChainStage<T>& st : stages) {
     plans.push_back(detail::compile_chain_stage(st));
     const SystolicPlan<T>& plan = plans.back().plan;
+    // Checked for every stage up front: a staged run must not fail midway.
+    require_reg_cache_rows(opt.p + st.t * plan.rows_halo());
     ht = std::max<Index>(ht, static_cast<Index>(-st.t * plan.dy_min));
     hb = std::max<Index>(hb, static_cast<Index>(st.t * plan.dy_max));
   }

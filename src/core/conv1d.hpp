@@ -53,7 +53,7 @@ KernelStats conv1d_ssam(const sim::ArchSpec& arch, std::span<const T> in,
       const Reg<T> x = wc.load_global(src, idx);
       // O + D: M MADs with a shift between consecutive filter taps.
       Reg<T> sum;
-      wc.systolic_sweep(&x, 1, sched, [&](int, int, const Reg<T>& s) { sum = s; });
+      wc.systolic_sweep(&x, 1, sched, &sum);
       // Y: lanes >= M-1 hold outputs at out_x = base + lane - (M-1) + cx.
       const Reg<Index> out_x =
           wc.affine(wc.template iota<Index>(0, 1), 1, base - (m - 1) + cx);

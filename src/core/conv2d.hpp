@@ -62,6 +62,7 @@ template <typename T>
   SSAM_REQUIRE(static_cast<Index>(weight_count) ==
                    static_cast<Index>(filter_m) * filter_n,
                "weight count mismatch");
+  require_reg_cache_rows(opt.p + filter_n - 1);
   Conv2dSetup s;
   s.m = filter_m;
   s.n = filter_n;
@@ -109,7 +110,6 @@ template <typename T>
   const int cx = s.cx;
   const int cy = s.cy;
   const Index width = s.width;
-  const Index height = s.height;
   return [=](auto& blk) {
     // Step 1 (Listing 1 lines 9-12): weights to shared memory.
     Smem<T> smem = blk.template alloc_smem<T>(m * n);
@@ -130,9 +130,7 @@ template <typename T>
       // Step 3 (lines 16-29): sliding window of P partial-sum sweeps, the
       // weights read as shared-memory broadcasts.
       InlineVec<Reg<T>, kMaxOutputsPerThread> result(geom.p);
-      wc.systolic_sweep(
-          rc.rows(), geom.p, *sched, [&](int, int i, const Reg<T>& sum) { result[i] = sum; },
-          &smem);
+      wc.systolic_sweep(rc.rows(), geom.p, *sched, result.begin(), &smem);
 
       // Step 4 (lines 30-31): lanes >= M-1 store valid outputs.
       store_valid_rows(wc, out, col0 - (m - 1) + cx,

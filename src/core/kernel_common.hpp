@@ -7,6 +7,7 @@
 // fixed-capacity InlineVecs so the functional steady state never allocates.
 #pragma once
 
+#include <algorithm>
 #include <cstring>
 #include <span>
 
@@ -69,36 +70,36 @@ void cooperative_load_to_smem(Block& blk, const T* src, const Smem<T>& dst, int 
 
 /// Stores the P valid output rows of a systolic sweep: lane l >= first_lane
 /// holds the output for column x0 + l of rows oy0 .. oy0+p-1 (clipped to the
-/// domain). In functional mode, a warp whose stored lanes are fully
-/// in-domain writes each row as one contiguous block copy; border warps and
-/// timing mode issue the kernels' documented op sequence (index affine,
-/// halo/width predicates, predicated coalesced store) unchanged.
+/// domain). Timing mode issues the kernels' documented op sequence (index
+/// affine, halo/width predicates, predicated coalesced store); functional
+/// mode writes the in-domain lanes [max(first_lane, -x0), min(32, width -
+/// x0)) of each row with one lane-range store, for interior and edge warps
+/// alike.
 template <typename T, typename Warp, typename RowFn>
 void store_valid_rows(Warp& wc, GridView2D<T> out, Index x0, Index oy0, int p,
                       int first_lane, RowFn&& row) {
   const Index width = out.width();
   const Index height = out.height();
   if constexpr (!Warp::kTimed) {
-    if (x0 + first_lane >= 0 && x0 + sim::kWarpSize <= width) {
-      for (int i = 0; i < p; ++i) {
-        const Index oy = oy0 + i;
-        if (oy >= height) break;
-        std::memcpy(out.data() + oy * out.pitch() + x0 + first_lane,
-                    row(i).v.lane.data() + first_lane,
-                    static_cast<std::size_t>(sim::kWarpSize - first_lane) * sizeof(T));
-      }
-      return;
+    const int lo = static_cast<int>(std::max<Index>(first_lane, -x0));
+    const int hi = static_cast<int>(std::min<Index>(sim::kWarpSize, width - x0));
+    if (lo >= hi) return;
+    for (int i = 0; i < p; ++i) {
+      const Index oy = oy0 + i;
+      if (oy >= height) break;
+      sim::Vec<T>::Ops::store_lanes(out.data() + oy * out.pitch(), x0, row(i).v.data(), lo, hi);
     }
-  }
-  const Reg<Index> out_x = wc.affine(wc.template iota<Index>(0, 1), 1, x0);
-  Pred ok = wc.pred_and(wc.cmp_ge(wc.lane_id(), first_lane), wc.cmp_lt(out_x, width));
-  for (int i = 0; i < p; ++i) {
-    const Index oy = oy0 + i;
-    if (oy >= height) break;
-    decltype(auto) v = row(i);  // evaluate first: kernels compute the row's ops
-                                // (if any) before the output index affine
-    const Reg<Index> oidx = wc.affine(out_x, 1, oy * out.pitch());
-    wc.store_global(out.data(), oidx, v, &ok);
+  } else {
+    const Reg<Index> out_x = wc.affine(wc.template iota<Index>(0, 1), 1, x0);
+    Pred ok = wc.pred_and(wc.cmp_ge(wc.lane_id(), first_lane), wc.cmp_lt(out_x, width));
+    for (int i = 0; i < p; ++i) {
+      const Index oy = oy0 + i;
+      if (oy >= height) break;
+      decltype(auto) v = row(i);  // evaluate first: kernels compute the row's ops
+                                  // (if any) before the output index affine
+      const Reg<Index> oidx = wc.affine(out_x, 1, oy * out.pitch());
+      wc.store_global(out.data(), oidx, v, &ok);
+    }
   }
 }
 

@@ -58,6 +58,7 @@ template <typename T>
                "stencil2d_ssam needs a single-plane plan");
   SSAM_REQUIRE(opt.p >= 1 && opt.p <= kMaxOutputsPerThread,
                "sliding window length exceeds one warp");
+  require_reg_cache_rows(opt.p + plan.rows_halo());
   Stencil2dSetup s;
   s.width = in.width();
   s.height = in.height();
@@ -83,7 +84,6 @@ template <typename T>
   const int dy_min = s.dy_min;
   const int anchor = s.anchor;
   const Index width = s.width;
-  const Index height = s.height;
   const Index oy_origin = s.row_origin;
   const Index store_off = s.store_row_offset;
   return [=, pass = std::move(pass)](auto& blk) {
@@ -99,8 +99,7 @@ template <typename T>
       rc.load_rows(in, col0, row0);
 
       InlineVec<Reg<T>, kMaxOutputsPerThread> result(geom.p);
-      wc.systolic_sweep(rc.rows(), geom.p, *pass.sweep,
-                        [&](int, int i, const Reg<T>& sum) { result[i] = sum; });
+      wc.systolic_sweep(rc.rows(), geom.p, *pass.sweep, result.begin());
 
       store_valid_rows(wc, out, col0 - anchor,
                        oy_origin + store_off + static_cast<Index>(blk.id().y) * geom.p,

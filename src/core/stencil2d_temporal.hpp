@@ -45,8 +45,7 @@ template <typename T>
   SSAM_REQUIRE(sim::kWarpSize - t * span >= 8, "too many fused steps for one warp");
   SSAM_REQUIRE(opt.p >= 1 && opt.p <= kMaxOutputsPerThread,
                "sliding window length exceeds one warp");
-  SSAM_REQUIRE(opt.p + t * dy_span <= kMaxRegCacheRows,
-               "fused steps exceed the register cache capacity");
+  require_reg_cache_rows(opt.p + t * dy_span);
   Stencil2dSetup s;
   s.width = in.width();
   s.height = in.height();
@@ -73,7 +72,6 @@ template <typename T>
   const int dy_min = s.dy_min;
   const int anchor = s.anchor;
   const Index width = s.width;
-  const Index height = s.height;
   const Index oy_origin = s.row_origin;
   const Index store_off = s.store_row_offset;
   return [=, pass = std::move(pass)](auto& blk) {
@@ -100,8 +98,7 @@ template <typename T>
         rows -= dy_span;
         InlineVec<Reg<T>, kMaxRegCacheRows>& nxt = levels[s % 2];
         nxt.resize(rows);
-        wc.systolic_sweep(cur, rows, *pass.sweep,
-                          [&](int, int r, const Reg<T>& sum) { nxt[r] = sum; });
+        wc.systolic_sweep(cur, rows, *pass.sweep, nxt.begin());
         cur = nxt.begin();
       }
 

@@ -107,6 +107,7 @@ template <typename T>
                "sliding window length exceeds one warp");
   SSAM_REQUIRE(opt.warps * opt.p <= kMaxBlockRegRows,
                "per-block partial-sum state exceeds the inline bound");
+  require_reg_cache_rows(opt.p + plan.rows_halo());
   Stencil3dSetup<T> s;
   s.nx = in.nx();
   s.ny = in.ny();
@@ -193,8 +194,7 @@ template <typename T>
           center_sum[w * p + i] = sum;
           return;
         }
-        const Reg<int> sidx = wc.template iota<int>(smem_base(w, k - first_off, i), 1);
-        wc.store_shared(published, sidx, sum);
+        wc.store_shared_row(published, smem_base(w, k - first_off, i), sum);
       });
     }
     blk.sync();
@@ -213,9 +213,9 @@ template <typename T>
                          for (int op = 0; op < n_off; ++op) {
                            const ColumnPass<T>& pass = off_passes[static_cast<std::size_t>(op)];
                            const int producer = w + pass.dz;  // S_dz(z + dz) lives there
-                           const Reg<T> v = wc.load_shared_shifted(
-                               published, smem_base(producer, op, i), anchor - pass.dx_max);
-                           sum = wc.add(sum, v);
+                           sum = wc.add_shared_shifted(sum, published,
+                                                       smem_base(producer, op, i),
+                                                       anchor - pass.dx_max);
                          }
                          return sum;
                        });

@@ -91,6 +91,7 @@ template <typename T>
   SSAM_REQUIRE(sim::kWarpSize - s.t * span >= 8, "too many fused steps for one warp");
   SSAM_REQUIRE(opt.p >= 1 && opt.p <= kMaxOutputsPerThread,
                "sliding window length exceeds one warp");
+  require_reg_cache_rows(opt.p + s.t * s.dy_span);
   SSAM_REQUIRE(opt.warps * (opt.p + s.t * s.dy_span) <= kMaxBlockRegRows,
                "per-block register level state exceeds the inline bound");
   s.nx = in.nx();
@@ -188,9 +189,8 @@ template <typename T>
                               center_sums[w * c0 + r] = sum;
                               return;
                             }
-                            wc.store_shared(
-                                published,
-                                wc.template iota<int>(smem_base(w, k - first_off, r), 1), sum);
+                            wc.store_shared_row(published, smem_base(w, k - first_off, r),
+                                                sum);
                           });
       }
       blk.sync();
@@ -207,8 +207,8 @@ template <typename T>
           for (int slot = 0; slot < n_off; ++slot) {
             const ColumnPass<T>& pass = off_passes[static_cast<std::size_t>(slot)];
             const int producer = w + pass.dz;
-            sum = wc.add(sum, wc.load_shared_shifted(published, smem_base(producer, slot, r),
-                                                     anchor - pass.dx_max));
+            sum = wc.add_shared_shifted(sum, published, smem_base(producer, slot, r),
+                                        anchor - pass.dx_max);
           }
           level[w * c0 + r] = sum;
         }

@@ -99,6 +99,18 @@ inline void butterfly32(void* d, const void* a, int lane_mask) {
   for (int c = 0; c < 4; ++c) store_chunk(d, c, out[c]);
 }
 
+/// Lanes of chunk c (warp lanes 8c .. 8c + 7) as an int32 ramp.
+[[nodiscard]] inline __m256i chunk_lanes(int c) {
+  return _mm256_add_epi32(ramp8(), _mm256_set1_epi32(8 * c));
+}
+
+/// All-ones in the lanes of chunk c that fall in [lo, hi).
+[[nodiscard]] inline __m256i chunk_mask(int lo, int hi, int c) {
+  const __m256i l = chunk_lanes(c);
+  return _mm256_andnot_si256(_mm256_cmpgt_epi32(_mm256_set1_epi32(lo), l),
+                             _mm256_cmpgt_epi32(_mm256_set1_epi32(hi), l));
+}
+
 /// Exact wrapping 64x64 -> low-64 multiply from 32-bit products.
 [[nodiscard]] inline __m256i mullo64(__m256i a, __m256i b) {
   const __m256i b_swap = _mm256_shuffle_epi32(b, 0xB1);       // b_hi | b_lo swapped
@@ -283,6 +295,76 @@ struct LaneOps<float> : RefOps<float> {
 
   static void butterfly(float* d, const float* a, int lane_mask) {
     avx2::butterfly32(d, a, lane_mask);
+  }
+
+  // Interior warps are four plain loads. Edge warps maskload their in-row
+  // lanes starting at the first in-row element, move them up to lane lo
+  // with the chunk-rotate shift when the row starts inside the warp, and
+  // blend the replicated edge values into the other lanes.
+  static void load_clamped(float* d, const float* row, std::int64_t col0, std::int64_t width) {
+    const LaneRange r = in_row_lanes(col0, width);
+    if (r.lo == 0 && r.hi == kSimdLanes) {
+      for (int c = 0; c < 4; ++c) _mm256_storeu_ps(d + 8 * c, _mm256_loadu_ps(row + col0 + 8 * c));
+      return;
+    }
+    alignas(32) float in_row[kSimdLanes];
+    const int n = r.hi - r.lo;
+    for (int c = 0; c < 4; ++c) {
+      _mm256_store_ps(in_row + 8 * c,
+                      8 * c < n ? _mm256_maskload_ps(row + (col0 + r.lo) + 8 * c,
+                                                     avx2::chunk_mask(0, n - 8 * c, 0))
+                                : _mm256_setzero_ps());
+    }
+    if (n > 0 && r.lo > 0) avx2::shift_up32(in_row, in_row, r.lo);
+    const __m256 first = _mm256_set1_ps(row[0]);
+    const __m256 last = _mm256_set1_ps(row[width - 1]);
+    for (int c = 0; c < 4; ++c) {
+      const __m256 edge = _mm256_blendv_ps(
+          last, first, _mm256_castsi256_ps(avx2::chunk_mask(0, r.lo, c)));
+      _mm256_storeu_ps(d + 8 * c,
+                       _mm256_blendv_ps(edge, _mm256_load_ps(in_row + 8 * c),
+                                        _mm256_castsi256_ps(avx2::chunk_mask(r.lo, r.hi, c))));
+    }
+  }
+
+  // Masked stores in place when lane 0 maps inside the row; when the row
+  // starts inside the warp, lane lo first shifts down to lane 0 so the
+  // stores start at the first in-row column.
+  static void store_lanes(float* row, std::int64_t x0, const float* v, int lo, int hi) {
+    if (hi <= lo) return;
+    if (x0 >= 0) {
+      for (int c = 0; c < 4; ++c) {
+        if (8 * c < hi && 8 * c + 8 > lo) {
+          _mm256_maskstore_ps(row + x0 + 8 * c, avx2::chunk_mask(lo, hi, c),
+                              _mm256_loadu_ps(v + 8 * c));
+        }
+      }
+      return;
+    }
+    alignas(32) float shifted[kSimdLanes];
+    avx2::shift_down32(shifted, v, lo);
+    const int n = hi - lo;
+    float* dst = row + (x0 + lo);
+    for (int c = 0; 8 * c < n; ++c) {
+      _mm256_maskstore_ps(dst + 8 * c, avx2::chunk_mask(0, n - 8 * c, 0),
+                          _mm256_load_ps(shifted + 8 * c));
+    }
+  }
+
+  static void add_shifted(float* d, const float* a, const float* row, int shift) {
+    alignas(32) float shifted[kSimdLanes];
+    const float* src = row;
+    if (shift > 0) {
+      avx2::shift_up32(shifted, row, shift < kSimdLanes ? shift : kSimdLanes);
+      src = shifted;
+    }
+    const __m256 first = _mm256_set1_ps(row[0]);
+    for (int c = 0; c < 4; ++c) {
+      const __m256 below = _mm256_castsi256_ps(avx2::chunk_mask(0, shift, c));
+      _mm256_storeu_ps(d + 8 * c,
+                       _mm256_add_ps(_mm256_loadu_ps(a + 8 * c),
+                                     _mm256_blendv_ps(_mm256_loadu_ps(src + 8 * c), first, below)));
+    }
   }
 };
 

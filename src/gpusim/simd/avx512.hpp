@@ -93,6 +93,12 @@ inline void store_mask32(int* d, __mmask16 lo, __mmask16 hi) {
   _mm512_storeu_si512(d + 16, _mm512_maskz_set1_epi32(hi, 1));
 }
 
+/// Lane bits [lo, hi) of the 16-lane half h (warp lanes 16h .. 16h + 15).
+[[nodiscard]] inline __mmask16 half_mask(int lo, int hi, int h) {
+  const auto to_half = [h](int l) { return l < 16 * h ? 0 : (l > 16 * h + 16 ? 16 : l - 16 * h); };
+  return static_cast<__mmask16>(((1u << to_half(hi)) - 1u) & ~((1u << to_half(lo)) - 1u));
+}
+
 /// Systolic sweep of G rows with every partial sum held in two zmm
 /// registers for the whole column walk (no memory round-trip per op). The
 /// shfl_up by one lane is valignd for the high half (lane 15 of the low
@@ -241,6 +247,80 @@ struct LaneOps<float> : RefOps<float> {
   }
   static void butterfly(float* d, const float* a, int lane_mask) {
     avx512::butterfly32(d, a, lane_mask);
+  }
+
+  // Interior warps (every lane inside the row) are two plain loads. Edge
+  // warps load their in-row lanes with masked loads starting at the first
+  // in-row element, move them up to lane lo with one two-source permute
+  // when the row starts inside the warp, and blend the replicated edge
+  // values into the other lanes.
+  static void load_clamped(float* d, const float* row, std::int64_t col0, std::int64_t width) {
+    const LaneRange r = in_row_lanes(col0, width);
+    if (r.lo == 0 && r.hi == kSimdLanes) {
+      _mm512_storeu_ps(d, _mm512_loadu_ps(row + col0));
+      _mm512_storeu_ps(d + 16, _mm512_loadu_ps(row + col0 + 16));
+      return;
+    }
+    __m512 v[2] = {_mm512_setzero_ps(), _mm512_setzero_ps()};
+    const int n = r.hi - r.lo;
+    if (n > 0) {
+      const float* src = row + (col0 + r.lo);
+      v[0] = _mm512_maskz_loadu_ps(avx512::half_mask(0, n, 0), src);
+      if (n > 16) v[1] = _mm512_maskz_loadu_ps(avx512::half_mask(0, n, 1), src + 16);
+      if (r.lo > 0) {  // lane l takes loaded lane l - lo
+        const __m512i sh = _mm512_set1_epi32(r.lo);
+        const __m512 lo = _mm512_permutex2var_ps(
+            v[0], _mm512_sub_epi32(avx512::ramp_lo16(), sh), v[1]);
+        v[1] = _mm512_permutex2var_ps(v[0], _mm512_sub_epi32(avx512::ramp_hi16(), sh), v[1]);
+        v[0] = lo;
+      }
+    }
+    const __m512 first = _mm512_set1_ps(row[0]);
+    const __m512 last = _mm512_set1_ps(row[width - 1]);
+    for (int h = 0; h < 2; ++h) {
+      const __m512 edge = _mm512_mask_blend_ps(avx512::half_mask(0, r.lo, h), last, first);
+      _mm512_storeu_ps(d + 16 * h,
+                       _mm512_mask_blend_ps(avx512::half_mask(r.lo, r.hi, h), edge, v[h]));
+    }
+  }
+
+  // Masked stores in place when lane 0 maps inside the row; when the row
+  // starts inside the warp, a permute first moves lane lo down to lane 0 so
+  // the stores start at the first in-row column.
+  static void store_lanes(float* row, std::int64_t x0, const float* v, int lo, int hi) {
+    if (hi <= lo) return;
+    const __m512 v0 = _mm512_loadu_ps(v);
+    const __m512 v1 = _mm512_loadu_ps(v + 16);
+    if (x0 >= 0) {
+      float* dst = row + x0;
+      _mm512_mask_storeu_ps(dst, avx512::half_mask(lo, hi, 0), v0);
+      if (hi > 16) _mm512_mask_storeu_ps(dst + 16, avx512::half_mask(lo, hi, 1), v1);
+      return;
+    }
+    const __m512i sh = _mm512_set1_epi32(lo);
+    const int n = hi - lo;
+    float* dst = row + (x0 + lo);
+    _mm512_mask_storeu_ps(
+        dst, avx512::half_mask(0, n, 0),
+        _mm512_permutex2var_ps(v0, _mm512_add_epi32(avx512::ramp_lo16(), sh), v1));
+    if (n > 16) {
+      _mm512_mask_storeu_ps(
+          dst + 16, avx512::half_mask(0, n, 1),
+          _mm512_permutex2var_ps(v0, _mm512_add_epi32(avx512::ramp_hi16(), sh), v1));
+    }
+  }
+
+  // One permute (source lane max(l - shift, 0)) and one add per half.
+  static void add_shifted(float* d, const float* a, const float* row, int shift) {
+    const __m512 r0 = _mm512_loadu_ps(row);
+    const __m512 r1 = _mm512_loadu_ps(row + 16);
+    const __m512i sh = _mm512_set1_epi32(shift < kSimdLanes ? shift : kSimdLanes);
+    const __m512i zero = _mm512_setzero_si512();
+    const __m512i i0 = _mm512_max_epi32(_mm512_sub_epi32(avx512::ramp_lo16(), sh), zero);
+    const __m512i i1 = _mm512_max_epi32(_mm512_sub_epi32(avx512::ramp_hi16(), sh), zero);
+    _mm512_storeu_ps(d, _mm512_add_ps(_mm512_loadu_ps(a), _mm512_permutex2var_ps(r0, i0, r1)));
+    _mm512_storeu_ps(d + 16,
+                     _mm512_add_ps(_mm512_loadu_ps(a + 16), _mm512_permutex2var_ps(r0, i1, r1)));
   }
 
   // Four rows per group: eight independent add chains keep both FMA ports

@@ -79,6 +79,20 @@ inline void for_row_groups(int count, Run&& run) {
   }
 }
 
+/// Lanes [lo, hi) of a warp whose lane l maps to row column col0 + l are
+/// the ones inside a row of `width` >= 1 columns; lo <= hi always holds.
+struct LaneRange {
+  int lo;
+  int hi;
+};
+
+[[nodiscard]] inline LaneRange in_row_lanes(std::int64_t col0, std::int64_t width) {
+  const auto clamp_lanes = [](std::int64_t v) {
+    return static_cast<int>(v < 0 ? 0 : (v > kSimdLanes ? kSimdLanes : v));
+  };
+  return {clamp_lanes(-col0), clamp_lanes(width - col0)};
+}
+
 namespace ref {
 
 // Integer lane arithmetic wraps modulo 2^N, exactly like the vector
@@ -242,6 +256,45 @@ inline void butterfly(T* d, const T* a, int lane_mask) {
   for (int l = 0; l < kSimdLanes; ++l) d[l] = a[l ^ lane_mask];
 }
 
+// Lane-range moves between a warp and one row of memory (the register-cache
+// fill and the valid-row store). Only lanes whose element lies inside the
+// row ever form a pointer into it, so edge warps never compute an address
+// before the row's start or past its end.
+
+/// Lane l reads row[clamp(col0 + l, 0, width - 1)] (width >= 1): the
+/// edge-replicating fill. The in-row lanes are one contiguous copy.
+template <typename T>
+inline void load_clamped(T* d, const T* row, std::int64_t col0, std::int64_t width) {
+  const LaneRange r = in_row_lanes(col0, width);
+  if (r.lo == 0 && r.hi == kSimdLanes) {  // interior: a fixed-size copy
+    std::memcpy(d, row + col0, kSimdLanes * sizeof(T));
+    return;
+  }
+  for (int l = 0; l < r.lo; ++l) d[l] = row[0];
+  if (r.hi > r.lo) {
+    std::memcpy(d + r.lo, row + (col0 + r.lo), static_cast<std::size_t>(r.hi - r.lo) * sizeof(T));
+  }
+  for (int l = r.hi; l < kSimdLanes; ++l) d[l] = row[width - 1];
+}
+
+/// row[x0 + l] = v[l] for lanes l in [lo, hi); the caller keeps those
+/// columns inside the row. An empty range writes nothing.
+template <typename T>
+inline void store_lanes(T* row, std::int64_t x0, const T* v, int lo, int hi) {
+  if (hi > lo) {
+    std::memcpy(row + (x0 + lo), v + lo, static_cast<std::size_t>(hi - lo) * sizeof(T));
+  }
+}
+
+/// d[l] = a[l] + row[max(l - shift, 0)] for shift >= 0: adds the 32-lane
+/// row shifted up `shift` lanes, the lanes below the shift repeating row[0].
+template <typename T>
+inline void add_shifted(T* d, const T* a, const T* row, int shift) {
+  const int s = shift < kSimdLanes ? shift : kSimdLanes;
+  for (int l = 0; l < s; ++l) d[l] = wrap_add(a[l], row[0]);
+  for (int l = s; l < kSimdLanes; ++l) d[l] = wrap_add(a[l], row[l - s]);
+}
+
 /// True when every predicate lane is active — the common case of masked
 /// loads/stores issued by interior (non-border) warps.
 [[nodiscard]] inline bool all_nonzero(const int* p) {
@@ -298,6 +351,15 @@ struct RefOps {
   static void butterfly(T* d, const T* a, int lane_mask) { ref::butterfly(d, a, lane_mask); }
   static bool unit_stride(const T* idx) { return ref::unit_stride(idx); }
   static bool all_nonzero(const int* p) { return ref::all_nonzero(p); }
+  static void load_clamped(T* d, const T* row, std::int64_t col0, std::int64_t width) {
+    ref::load_clamped(d, row, col0, width);
+  }
+  static void store_lanes(T* row, std::int64_t x0, const T* v, int lo, int hi) {
+    ref::store_lanes(row, x0, v, lo, hi);
+  }
+  static void add_shifted(T* d, const T* a, const T* row, int shift) {
+    ref::add_shifted(d, a, row, shift);
+  }
 
   /// The systolic sweep of `count` output rows as the per-op lane loop
   /// defines it, run through the active backend's own primitives: each

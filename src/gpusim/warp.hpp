@@ -409,27 +409,39 @@ class WarpContextT {
     }
   }
 
-  /// Reads the 32-lane row s[base .. base + 31] shifted up by `shift` >= 0
-  /// lanes, the lanes below the shift repeating s[base]: lane l reads
-  /// s[base + clamp(l - shift, 0, 31)]. Timing mode issues the op sequence
+  /// sum + the 32-lane row s[base .. base + 31] shifted up by `shift` >= 0
+  /// lanes, the lanes below the shift repeating s[base]: lane l adds
+  /// s[base + clamp(l - shift, 0, 31)] (the 3D kernels' combine of a
+  /// neighbour plane's published sums). Timing mode issues the op sequence
   /// that spells this out (add the lane id, clamp into the row, shared
-  /// load); functional mode reads the row as one block and shifts it in
-  /// registers, since the clamped index is not unit-stride and would gather
-  /// lane by lane.
+  /// load, add); functional mode runs one backend permute-and-add over the
+  /// row, since the clamped index is not unit-stride and would gather lane
+  /// by lane.
   template <typename T>
-  [[nodiscard]] Reg<T> load_shared_shifted(const Smem<T>& s, int base, int shift) {
+  [[nodiscard]] Reg<T> add_shared_shifted(const Reg<T>& sum, const Smem<T>& s, int base,
+                                          int shift) {
     SSAM_REQUIRE(shift >= 0, "shared row shift must be non-negative");
     if constexpr (kTimed) {
       Reg<int> sidx = add(lane_id(), base - shift);
       sidx = clamp(sidx, base, base + kWarpSize - 1);
-      return load_shared(s, sidx);
+      return add(sum, load_shared(s, sidx));
     } else {
-      Vec<T> row;
-      std::memcpy(row.data(), s.data + base, sizeof(row.lane));
       Reg<T> r;
-      r.v = Vec<T>::select(Vec<int>::lt(Vec<int>::iota(0, 1), shift), Vec<T>::splat(row[0]),
-                           Vec<T>::shift_up(row, shift));
+      Vec<T>::Ops::add_shifted(r.v.data(), sum.v.data(), s.data + base, shift);
       return r;
+    }
+  }
+
+  /// Writes v to the 32 consecutive shared words s[base .. base + 31] (the
+  /// 3D kernels' publish of an off-plane partial sum). Timing mode issues
+  /// the lane-index ramp and a shared store; functional mode is one block
+  /// copy.
+  template <typename T>
+  void store_shared_row(const Smem<T>& s, int base, const Reg<T>& v) {
+    if constexpr (kTimed) {
+      store_shared(s, iota<int>(base, 1), v);
+    } else {
+      std::memcpy(s.data + base, v.v.data(), sizeof(v.v.lane));
     }
   }
 
@@ -511,6 +523,26 @@ class WarpContextT {
                                       sizeof(Reg<T>), n, sched.pass(k));
           for (int j = 0; j < n; ++j) emit(k, i0 + j, std::as_const(sums[j]));
         }
+      }
+    }
+  }
+
+  /// The systolic sweep with every sum kept: pass k's sum of row i lands in
+  /// out[k * count + i] (out must not overlap rows). Timing mode issues the
+  /// emit form's op sequence exactly; functional mode has the lane backend
+  /// write the sums straight into `out`, with no per-row copy.
+  template <typename T>
+  void systolic_sweep(const Reg<T>* rows, int count, const TapSchedule<T>& sched, Reg<T>* out,
+                      const Smem<T>* weights = nullptr) {
+    if constexpr (kTimed) {
+      systolic_sweep(
+          rows, count, sched,
+          [&](int k, int i, const Reg<T>& sum) { out[k * count + i] = sum; }, weights);
+    } else {
+      (void)weights;
+      for (int k = 0; k < sched.passes(); ++k) {
+        Vec<T>::Ops::systolic_sweep(out[k * count].v.data(), sizeof(Reg<T>), rows[0].v.data(),
+                                    sizeof(Reg<T>), count, sched.pass(k));
       }
     }
   }

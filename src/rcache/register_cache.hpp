@@ -11,7 +11,8 @@
 // the real device these are registers, not memory.
 #pragma once
 
-#include <cstring>
+#include <algorithm>
+#include <string>
 
 #include "common/grid.hpp"
 #include "common/inline_vec.hpp"
@@ -24,6 +25,15 @@ using sim::Reg;
 /// Upper bound on rows a register cache can hold: C = P + N - 1 with the
 /// sliding window capped at a full warp (P <= 32) plus filter halo.
 inline constexpr int kMaxRegCacheRows = 64;
+
+/// Rejects a register-cache footprint above kMaxRegCacheRows at kernel
+/// setup; inside a launch it could only fail as an inline-capacity error.
+inline void require_reg_cache_rows(int rows) {
+  SSAM_REQUIRE(rows <= kMaxRegCacheRows,
+               "sliding window plus halo needs " + std::to_string(rows) +
+                   " register-cache rows, above kMaxRegCacheRows (" +
+                   std::to_string(kMaxRegCacheRows) + ")");
+}
 
 /// The per-warp register cache: a column of C values per lane.
 template <typename T, sim::ExecMode M>
@@ -42,30 +52,28 @@ class RegisterCache {
 
   /// Loads `capacity()` consecutive rows starting at `row0`; lane l reads
   /// column `col0 + l`. Out-of-domain coordinates are border-resolved by
-  /// clamping (replicate), matching the paper's evaluation setup.
+  /// clamping (replicate), matching the paper's evaluation setup. Timing
+  /// mode issues the real op sequence (clamped lane columns, row affine,
+  /// coalesced load); functional mode fills each row with one lane-range
+  /// load of the clamped source row — an interior warp is simply the case
+  /// where every lane falls inside the row. Same values either way.
   void load_rows(const GridView2D<const T>& in, Index col0, Index row0) {
     if constexpr (M == sim::ExecMode::kFunctional) {
-      // Interior fast path: the whole warp footprint is in-domain, so the
-      // clamp is the identity and every row is one contiguous 128-byte copy.
-      // Border warps (and timing mode, which must issue the real op
-      // sequence) take the generic path below. Same values either way.
-      if (col0 >= 0 && col0 + sim::kWarpSize <= in.width() && row0 >= 0 &&
-          row0 + capacity() <= in.height()) {
-        const T* src = in.data() + row0 * in.pitch() + col0;
-        for (int r = 0; r < capacity(); ++r, src += in.pitch()) {
-          std::memcpy(rows_[r].v.lane.data(), src, sizeof(T) * sim::kWarpSize);
-        }
-        return;
+      for (int r = 0; r < capacity(); ++r) {
+        const Index y = std::clamp<Index>(row0 + r, 0, in.height() - 1);
+        sim::Vec<T>::Ops::load_clamped(rows_[r].v.data(), in.data() + y * in.pitch(), col0,
+                                       in.width());
       }
-    }
-    sim::WarpContextT<M>& w = *warp_;
-    // Column index per lane, clamped once and reused for every row.
-    Reg<Index> col = w.clamp(w.template iota<Index>(col0, 1), Index{0}, in.width() - 1);
-    for (int r = 0; r < capacity(); ++r) {
-      Index y = row0 + r;
-      y = y < 0 ? 0 : (y >= in.height() ? in.height() - 1 : y);
-      const Reg<Index> idx = w.affine(col, 1, y * in.pitch());
-      rows_[r] = w.load_global(in.data(), idx);
+    } else {
+      sim::WarpContextT<M>& w = *warp_;
+      // Column index per lane, clamped once and reused for every row.
+      Reg<Index> col = w.clamp(w.template iota<Index>(col0, 1), Index{0}, in.width() - 1);
+      for (int r = 0; r < capacity(); ++r) {
+        Index y = row0 + r;
+        y = y < 0 ? 0 : (y >= in.height() ? in.height() - 1 : y);
+        const Reg<Index> idx = w.affine(col, 1, y * in.pitch());
+        rows_[r] = w.load_global(in.data(), idx);
+      }
     }
   }
 

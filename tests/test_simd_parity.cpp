@@ -14,11 +14,13 @@
 // not just per primitive.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -40,6 +42,7 @@ namespace {
 
 using namespace ssam;
 using sim::kWarpSize;
+using ssam::testing::bits_equal;
 using sim::Vec;
 namespace simd = sim::simd;
 
@@ -311,6 +314,90 @@ TEST(SimdParity, UnitStride) {
   EXPECT_FALSE(Vec<float>::unit_stride(iramp));
 }
 
+// ------------------------------------------------ lane-range row moves
+//
+// load_clamped / store_lanes / add_shifted of the active backend against
+// RefOps and against their per-lane definitions, over every warp placement
+// relative to rows of 1-70 columns: warps left of, straddling, inside, and
+// right of the row. Rows are allocated at their exact width, so a backend
+// touching a column outside the row is a heap overflow under ASan.
+
+/// Row values: distinct, and including signed zeros and a NaN payload
+/// (the moves are bit copies, so every pattern must survive).
+std::vector<float> row_values(int width, std::uint64_t seed) {
+  SplitMix64 rng(seed);
+  std::vector<float> row(static_cast<std::size_t>(width));
+  for (float& v : row) v = static_cast<float>(rng.next_in(-100.0, 100.0));
+  if (width > 2) row[1] = -0.0f;
+  if (width > 4) row[3] = std::numeric_limits<float>::quiet_NaN();
+  return row;
+}
+
+TEST(SimdParity, LoadClampedEveryPlacement) {
+  for (int width = 1; width <= 70; ++width) {
+    const std::vector<float> row = row_values(width, 0x10adu + static_cast<unsigned>(width));
+    for (Index col0 = -40; col0 <= width + 8; ++col0) {
+      SCOPED_TRACE("width=" + std::to_string(width) + " col0=" + std::to_string(col0));
+      Vec<float> want;
+      for (int l = 0; l < kWarpSize; ++l) {
+        want[l] = row[static_cast<std::size_t>(std::clamp<Index>(col0 + l, 0, width - 1))];
+      }
+      Vec<float> got;
+      Vec<float> ref;
+      simd::LaneOps<float>::load_clamped(got.data(), row.data(), col0, width);
+      simd::RefOps<float>::load_clamped(ref.data(), row.data(), col0, width);
+      EXPECT_TRUE(bits_equal(got.data(), want.data(), kWarpSize));
+      EXPECT_TRUE(bits_equal(ref.data(), want.data(), kWarpSize));
+    }
+  }
+}
+
+TEST(SimdParity, StoreLanesEveryPlacement) {
+  const float kSentinel = -12345.5f;
+  const Vec<float> v = float_vectors().back();  // the special-value vector
+  for (int width = 1; width <= 70; ++width) {
+    for (Index x0 = -40; x0 <= width + 8; ++x0) {
+      for (int first : {0, 1, 2, 5, 16, 17, 31}) {
+        // The range store_valid_rows passes: lanes at or above `first`
+        // whose column lies in the row (possibly empty).
+        const int lo = static_cast<int>(std::max<Index>(first, -x0));
+        const int hi = static_cast<int>(std::min<Index>(kWarpSize, width - x0));
+        SCOPED_TRACE("width=" + std::to_string(width) + " x0=" + std::to_string(x0) +
+                     " lanes=[" + std::to_string(lo) + "," + std::to_string(hi) + ")");
+        std::vector<float> want(static_cast<std::size_t>(width), kSentinel);
+        for (int l = std::max(lo, 0); l < std::min(hi, kWarpSize); ++l) {
+          want[static_cast<std::size_t>(x0 + l)] = v[l];
+        }
+        std::vector<float> got(static_cast<std::size_t>(width), kSentinel);
+        std::vector<float> ref(static_cast<std::size_t>(width), kSentinel);
+        simd::LaneOps<float>::store_lanes(got.data(), x0, v.data(), lo, hi);
+        simd::RefOps<float>::store_lanes(ref.data(), x0, v.data(), lo, hi);
+        EXPECT_TRUE(bits_equal(got.data(), want.data(), want.size()));
+        EXPECT_TRUE(bits_equal(ref.data(), want.data(), want.size()));
+      }
+    }
+  }
+}
+
+TEST(SimdParity, AddShiftedEveryShift) {
+  const auto vs = float_vectors();
+  for (std::size_t a = 0; a + 1 < vs.size(); ++a) {
+    const Vec<float>& sum = vs[a];
+    const Vec<float>& row = vs[a + 1];
+    for (int shift = 0; shift <= kWarpSize + 8; ++shift) {
+      SCOPED_TRACE("shift=" + std::to_string(shift));
+      Vec<float> want;
+      for (int l = 0; l < kWarpSize; ++l) want[l] = sum[l] + row[std::max(l - shift, 0)];
+      Vec<float> got;
+      Vec<float> ref;
+      simd::LaneOps<float>::add_shifted(got.data(), sum.data(), row.data(), shift);
+      simd::RefOps<float>::add_shifted(ref.data(), sum.data(), row.data(), shift);
+      EXPECT_TRUE(bits_equal(got.data(), want.data(), kWarpSize));
+      EXPECT_TRUE(bits_equal(ref.data(), want.data(), kWarpSize));
+    }
+  }
+}
+
 // -------------------------------------------- cross-backend kernel goldens
 
 using ssam::testing::fnv1a;
@@ -416,6 +503,45 @@ std::uint64_t golden_stencil3d_temporal() {
   return fnv1a(out.data(), sizeof(float) * static_cast<std::size_t>(out.size()));
 }
 
+// Grids narrower than one warp: every warp is an edge warp in x, and most
+// are edge warps in y too.
+std::uint64_t golden_stencil2d_narrow() {
+  Grid2D<float> in(29, 7);
+  fill_random(in, 20);
+  Grid2D<float> out(29, 7);
+  core::stencil2d_ssam<float>(sim::tesla_v100(), in.cview(), core::star2d<float>(2), out.view());
+  return fnv1a(out.data(), sizeof(float) * static_cast<std::size_t>(out.size()));
+}
+
+std::uint64_t golden_conv2d_narrow() {
+  Grid2D<float> in(31, 9);
+  fill_random(in, 21);
+  Grid2D<float> out(31, 9);
+  std::vector<float> w(25);
+  fill_random(w, 22, -0.2, 0.2);
+  core::conv2d_ssam<float>(sim::tesla_v100(), in.cview(), w, 5, 5, out.view());
+  return fnv1a(out.data(), sizeof(float) * static_cast<std::size_t>(out.size()));
+}
+
+std::uint64_t golden_stencil3d_narrow() {
+  Grid3D<float> in(20, 9, 7);
+  fill_random(in, 23);
+  Grid3D<float> out(20, 9, 7);
+  core::stencil3d_ssam<float>(sim::tesla_v100(), in.cview(), core::star3d<float>(1), out.view());
+  return fnv1a(out.data(), sizeof(float) * static_cast<std::size_t>(out.size()));
+}
+
+std::uint64_t golden_stencil2d_temporal_narrow() {
+  Grid2D<float> in(37, 11);
+  fill_random(in, 24);
+  Grid2D<float> out(37, 11);
+  core::TemporalSsamOptions opt;
+  opt.t = 2;
+  core::stencil2d_ssam_temporal<float>(sim::tesla_v100(), in.cview(), core::star2d<float>(1),
+                                       out.view(), opt);
+  return fnv1a(out.data(), sizeof(float) * static_cast<std::size_t>(out.size()));
+}
+
 std::uint64_t golden_gemm() {
   const auto& arch = sim::tesla_v100();
   Grid2D<float> a(96, 80), b(112, 96), c(112, 80);
@@ -446,6 +572,10 @@ TEST(KernelGolden, BitIdenticalAcrossBackends) {
       {"chain2d_dual", golden_chain2d_dual()},
       {"stencil3d_star2", golden_stencil3d_star2()},
       {"stencil3d_temporal", golden_stencil3d_temporal()},
+      {"stencil2d_narrow", golden_stencil2d_narrow()},
+      {"conv2d_narrow", golden_conv2d_narrow()},
+      {"stencil3d_narrow", golden_stencil3d_narrow()},
+      {"stencil2d_temporal_narrow", golden_stencil2d_temporal_narrow()},
   };
   if (std::getenv("SSAM_PRINT_GOLDEN") != nullptr) {
     for (const Golden& g : goldens) {
@@ -464,6 +594,10 @@ TEST(KernelGolden, BitIdenticalAcrossBackends) {
       {"chain2d_dual", 0x6800e9fcd23cd3a0ull},
       {"stencil3d_star2", 0xf5bafab425e6b0e7ull},
       {"stencil3d_temporal", 0x9e2c92311b73d866ull},
+      {"stencil2d_narrow", 0xa949008d4539d1d1ull},
+      {"conv2d_narrow", 0x73987bfa6585821cull},
+      {"stencil3d_narrow", 0xdaca86fce739d68dull},
+      {"stencil2d_temporal_narrow", 0xe829f892f4fe5e8full},
   };
   for (std::size_t i = 0; i < std::size(goldens); ++i) {
     EXPECT_EQ(goldens[i].hash, expected[i].hash)

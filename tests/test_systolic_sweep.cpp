@@ -190,6 +190,17 @@ void expect_functional_matches(const std::vector<Reg<T>>& rows, int count,
   });
   for (std::size_t j = 0; j < seen.size(); ++j) EXPECT_EQ(seen[j], 1) << "emit " << j;
 
+  // The into-sweep: pass k's sum of row i at out[k * count + i].
+  std::vector<Reg<T>> into(static_cast<std::size_t>(sched.passes() * count));
+  wc.systolic_sweep(rows.data(), count, sched, into.data());
+  for (int k = 0; k < sched.passes(); ++k) {
+    for (int i = 0; i < count; ++i) {
+      EXPECT_TRUE(lanes_equal(into[static_cast<std::size_t>(k * count + i)].v,
+                              want[static_cast<std::size_t>(k)][static_cast<std::size_t>(i)]))
+          << "into pass " << k << " row " << i;
+    }
+  }
+
   // The backend entry point directly, one pass at a time.
   for (int k = 0; k < sched.passes(); ++k) {
     std::vector<Vec<T>> got(static_cast<std::size_t>(count));
@@ -375,6 +386,22 @@ TimingTrace primitive(const std::vector<Reg<float>>& rows, int count,
   return finish(wc, std::move(sums));
 }
 
+/// The into-sweep in timing mode, its sums listed in emit order (row by
+/// row, a row's passes in order).
+TimingTrace primitive_into(const std::vector<Reg<float>>& rows, int count,
+                           const TapSchedule<float>& sched, const sim::Smem<float>* weights) {
+  sim::WarpContext wc(sim::tesla_v100(), nullptr, 0);
+  std::vector<Reg<float>> out(static_cast<std::size_t>(sched.passes() * count));
+  wc.systolic_sweep(rows.data(), count, sched, out.data(), weights);
+  std::vector<Reg<float>> sums;
+  for (int i = 0; i < count; ++i) {
+    for (int k = 0; k < sched.passes(); ++k) {
+      sums.push_back(out[static_cast<std::size_t>(k * count + i)]);
+    }
+  }
+  return finish(wc, std::move(sums));
+}
+
 TEST(SystolicSweep, TimingModeIssuesTheHandWrittenSequence) {
   for (int c = 0; c < 40; ++c) {
     const std::uint64_t seed = base_seed() + 0x7000u + static_cast<std::uint64_t>(c);
@@ -388,6 +415,8 @@ TEST(SystolicSweep, TimingModeIssuesTheHandWrittenSequence) {
     for (std::size_t r = 0; r < rows.size(); ++r) rows[r].ready = static_cast<Cycle>(3 * r);
 
     expect_same_trace(primitive(rows, count, sched, nullptr),
+                      hand_written(rows, count, sched, nullptr));
+    expect_same_trace(primitive_into(rows, count, sched, nullptr),
                       hand_written(rows, count, sched, nullptr));
 
     // Broadcast shared-memory coefficients: word j holds the j-th tap's.
@@ -407,19 +436,22 @@ TEST(SystolicSweep, TimingModeIssuesTheHandWrittenSequence) {
     const sim::Smem<float> smem{filter.data(), static_cast<int>(filter.size()), 0};
     expect_same_trace(primitive(rows, count, bsched, &smem),
                       hand_written(rows, count, bsched, &smem));
+    expect_same_trace(primitive_into(rows, count, bsched, &smem),
+                      hand_written(rows, count, bsched, &smem));
     if (HasFailure()) return;
   }
 }
 
-// ------------------------------------------------- shifted shared-row read
+// ------------------------------------------ shared-row publish and combine
 
-TEST(SystolicSweep, ShiftedSharedReadMatchesClampedGather) {
+TEST(SystolicSweep, ShiftedSharedAddMatchesClampedGather) {
   const auto& arch = sim::tesla_v100();
   SplitMix64 rng(base_seed() ^ 0x5ea1u);
   std::vector<float> buf(3 * kWarpSize);
   const Specials<float> sp = draw_specials<float>(rng);
   for (float& v : buf) v = random_value<float>(rng, sp);
   const sim::Smem<float> smem{buf.data(), static_cast<int>(buf.size()), 0};
+  const auto addend = random_rows<float>(rng, 1, sp);
   for (int base : {0, kWarpSize, 2 * kWarpSize}) {
     for (int shift = 0; shift <= kWarpSize + 3; ++shift) {
       SCOPED_TRACE("base=" + std::to_string(base) + " shift=" + std::to_string(shift));
@@ -427,15 +459,40 @@ TEST(SystolicSweep, ShiftedSharedReadMatchesClampedGather) {
       sim::WarpContext hand(arch, nullptr, 0);
       Reg<int> sidx = hand.add(hand.lane_id(), base - shift);
       sidx = hand.clamp(sidx, base, base + kWarpSize - 1);
-      const Reg<float> want = hand.load_shared(smem, sidx);
+      const Reg<float> want = hand.add(addend[0], hand.load_shared(smem, sidx));
 
       sim::WarpContext timed(arch, nullptr, 0);
-      const Reg<float> got_t = timed.load_shared_shifted(smem, base, shift);
+      const Reg<float> got_t = timed.add_shared_shifted(addend[0], smem, base, shift);
       expect_same_trace(finish(timed, {got_t}), finish(hand, {want}));
 
       sim::FunctionalWarpContext fwc(arch, nullptr, 0);
-      EXPECT_TRUE(lanes_equal(fwc.load_shared_shifted(smem, base, shift).v, want.v));
+      EXPECT_TRUE(lanes_equal(fwc.add_shared_shifted(addend[0], smem, base, shift).v, want.v));
     }
+  }
+}
+
+TEST(SystolicSweep, SharedRowPublishMatchesRampedStore) {
+  const auto& arch = sim::tesla_v100();
+  SplitMix64 rng(base_seed() ^ 0x9b1u);
+  const Specials<float> sp = draw_specials<float>(rng);
+  const auto v = random_rows<float>(rng, 1, sp);
+  for (int base : {0, 7, kWarpSize}) {
+    SCOPED_TRACE("base=" + std::to_string(base));
+    std::vector<float> want_buf(3 * kWarpSize, 0.0f);
+    std::vector<float> timed_buf = want_buf;
+    std::vector<float> func_buf = want_buf;
+    sim::WarpContext hand(arch, nullptr, 0);
+    hand.store_shared(sim::Smem<float>{want_buf.data(), 3 * kWarpSize, 0},
+                      hand.iota<int>(base, 1), v[0]);
+    sim::WarpContext timed(arch, nullptr, 0);
+    timed.store_shared_row(sim::Smem<float>{timed_buf.data(), 3 * kWarpSize, 0}, base, v[0]);
+    expect_same_trace(finish(timed, {}), finish(hand, {}));
+    EXPECT_EQ(timed.scoreboard().counters().smem_stores,
+              hand.scoreboard().counters().smem_stores);
+    sim::FunctionalWarpContext fwc(arch, nullptr, 0);
+    fwc.store_shared_row(sim::Smem<float>{func_buf.data(), 3 * kWarpSize, 0}, base, v[0]);
+    EXPECT_EQ(std::memcmp(timed_buf.data(), want_buf.data(), want_buf.size() * sizeof(float)), 0);
+    EXPECT_EQ(std::memcmp(func_buf.data(), want_buf.data(), want_buf.size() * sizeof(float)), 0);
   }
 }
 
