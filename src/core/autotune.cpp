@@ -233,7 +233,7 @@ std::string Schedule::describe() const {
   s += " tiles=" + std::to_string(tiles);
   s += " shards=" + std::to_string(shards);
   s += " t=" + std::to_string(t);
-  s += " p=" + std::to_string(p);
+  s += " p=" + (p > 0 ? std::to_string(p) : std::string("auto"));
   s += " block=" + std::to_string(block_threads);
   s += " threads=" + std::to_string(threads);
   return s;
@@ -416,7 +416,7 @@ int AutoTuner::merge_cache_file(const std::string& path,
     Entry e;
     e.schedule.policy = policy_from_name(pol, ok);
     if (!ok) continue;
-    double tiles = 0, shards = 0, t = 1, p = 4, bt = 128, threads = 0;
+    double tiles = 0, shards = 0, t = 1, p = 0, bt = 128, threads = 0;
     double predicted = 0, measured = 0;
     json_number_field(obj, "tiles", tiles);
     json_number_field(obj, "shards", shards);

@@ -46,12 +46,12 @@ struct Schedule {
   int tiles = 0;   ///< persistent band tiles (0: auto_tiles_for)
   int shards = 0;  ///< 0: single pool; > 0: ShardPolicy::sharded(shards)
   int t = 1;       ///< fused time steps per sweep (data, not searched)
-  int p = 4;
+  int p = 0;       ///< sliding window (not searched); 0: the engine resolves it
   int block_threads = 128;
   int threads = 0;  ///< pool width the schedule was tuned for (record only)
 
   /// One deterministic line, e.g.
-  /// "policy=persistent tiles=8 shards=2 t=1 p=4 block=128 threads=4".
+  /// "policy=persistent tiles=8 shards=2 t=1 p=auto block=128 threads=4".
   [[nodiscard]] std::string describe() const;
 
   [[nodiscard]] bool operator==(const Schedule& o) const {

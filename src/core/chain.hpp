@@ -271,25 +271,30 @@ PersistentRunStats run_chain2d(const sim::ArchSpec& arch, const Grid2D<T>& in,
   const Index h = in.height();
   ThreadPool& lane = opt.device != nullptr ? opt.device->pool() : ThreadPool::global();
 
-  PersistentRunStats r;
-  r.sweeps = k;
-  r.t = 1;
-
   // Uniform band-layout halo: the deepest reach on each side across the
   // stages. Every exchange carries the full depth; a shallower stage reads
-  // its smaller window from the filled region.
+  // its smaller window from the filled region. One sliding window serves
+  // every stage, sized for the deepest register cache.
   Index ht = 0;
   Index hb = 0;
+  int deepest = 0;
   std::vector<detail::ChainStagePlan<T>> plans;
   plans.reserve(stages.size());
   for (const ChainStage<T>& st : stages) {
     plans.push_back(detail::compile_chain_stage(st));
     const SystolicPlan<T>& plan = plans.back().plan;
-    // Checked for every stage up front: a staged run must not fail midway.
-    require_reg_cache_rows(opt.p + st.t * plan.rows_halo());
+    deepest = std::max(deepest, st.t * plan.rows_halo());
     ht = std::max<Index>(ht, static_cast<Index>(-st.t * plan.dy_min));
     hb = std::max<Index>(hb, static_cast<Index>(st.t * plan.dy_max));
   }
+  const int p = choose_p(opt.p, 1, deepest, h);
+  // Checked for every stage up front: a staged run must not fail midway.
+  require_reg_cache_rows(p + deepest);
+
+  PersistentRunStats r;
+  r.sweeps = k;
+  r.t = 1;
+  r.p = p;
   const Index min_band = std::max<Index>({ht, hb, 1});
 
   const bool fused = k >= 2 && detail::choose_persistent(opt.policy, k);
@@ -306,9 +311,9 @@ PersistentRunStats run_chain2d(const sim::ArchSpec& arch, const Grid2D<T>& in,
       sim::PersistentWorkspace& wsp = ws != nullptr ? *ws : detail::default_workspace();
       const std::size_t gbytes = static_cast<std::size_t>(w * h) * sizeof(T);
       const std::size_t stride = (gbytes + 63) / 64 * 64;
-      std::byte* p = wsp.scratch(stride + gbytes);
-      ping = reinterpret_cast<T*>(p);
-      pong = reinterpret_cast<T*>(p + stride);
+      std::byte* scratch = wsp.scratch(stride + gbytes);
+      ping = reinterpret_cast<T*>(scratch);
+      pong = reinterpret_cast<T*>(scratch + stride);
     }
     GridView2D<const T> cur = in.cview();
     for (int s = 0; s < k; ++s) {
@@ -317,7 +322,7 @@ PersistentRunStats run_chain2d(const sim::ArchSpec& arch, const Grid2D<T>& in,
       const GridView2D<T> out_v(dst, w, h, w);
       detail::Chain2dStageKernel kk = detail::make_chain2d_stage_kernel(
           stages[static_cast<std::size_t>(s)], plans[static_cast<std::size_t>(s)], cur, out_v,
-          0, 0, -1, opt.p, opt.block_threads);
+          0, 0, -1, p, opt.block_threads);
       sim::detail::run_functional_grid_on(lane, arch, kk.cfg, kk.body);
       if (opt.device != nullptr) {
         opt.device->counters().sweeps.fetch_add(1, std::memory_order_relaxed);
@@ -336,7 +341,7 @@ PersistentRunStats run_chain2d(const sim::ArchSpec& arch, const Grid2D<T>& in,
   req.elem_bytes = sizeof(T);
   req.ht = ht;
   req.hb = hb;
-  req.align = static_cast<Index>(opt.p);
+  req.align = static_cast<Index>(p);
   req.min_band = min_band;
   req.want_tiles = opt.tiles;
   req.sweeps = k;
@@ -392,7 +397,7 @@ PersistentRunStats run_chain2d(const sim::ArchSpec& arch, const Grid2D<T>& in,
       const Index soff = first ? ht - y0 : (last ? y0 - ht : 0);
       detail::Chain2dStageKernel kk = detail::make_chain2d_stage_kernel(
           stages[static_cast<std::size_t>(s)], plans[static_cast<std::size_t>(s)], in_v, out_v,
-          origin, soff, band, opt.p, opt.block_threads);
+          origin, soff, band, p, opt.block_threads);
       typename detail::ResidentBandTile<T>::ChainSweep cs;
       cs.cfg = kk.cfg;
       cs.body = std::move(kk.body);

@@ -66,7 +66,7 @@ IterationStats iterate_stencil3d(const sim::ArchSpec& arch, Grid3D<T>& a, Grid3D
     r.per_step = stencil3d_ssam<T>(arch, a.cview(), plan, b.view(), opt, mode, sample);
     return r;
   }
-  detail::Stencil3dSetup<T> s = detail::stencil3d_setup(a.cview(), plan, opt);
+  detail::Stencil3dSetup<T> s = detail::stencil3d_setup(arch, a.cview(), plan, opt);
   const sim::LaunchConfig cfg = s.cfg;
   auto ping = detail::make_stencil3d_body<T>(s, a.cview(), b.view());
   auto pong = detail::make_stencil3d_body<T>(std::move(s), b.cview(), a.view());
@@ -125,7 +125,7 @@ sim::Event iterate_stencil3d_async(sim::Stream& stream, const sim::ArchSpec& arc
                                    Grid3D<T>& a, Grid3D<T>& b, const StencilShape<T>& shape,
                                    int steps, const Stencil3DOptions& opt = {}) {
   const SystolicPlan<T> plan = build_plan(shape.taps);
-  detail::Stencil3dSetup<T> s = detail::stencil3d_setup(a.cview(), plan, opt);
+  detail::Stencil3dSetup<T> s = detail::stencil3d_setup(arch, a.cview(), plan, opt);
   const sim::LaunchConfig cfg = s.cfg;
   auto ping = detail::share_body(detail::make_stencil3d_body<T>(s, a.cview(), b.view()));
   auto pong =

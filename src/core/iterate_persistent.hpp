@@ -66,7 +66,10 @@ struct PersistentOptions {
   ShardPolicy shard;      ///< single pool, or sharded across virtual devices
   int tiles = 0;  ///< 0: auto (residence-sized bands, >= 2 per worker)
   int t = 1;      ///< fused time steps per sweep (temporal blocking)
-  int p = 4;              ///< sliding-window outputs per thread
+  /// Sliding-window outputs per thread. 0: auto — the engine resolves it
+  /// per run from t and the kernel bounds (resolve_p in rcache/blocking.hpp);
+  /// > 0: used as given. The result never depends on it.
+  int p = 0;
   int block_threads = 128;
   int warps3d = 8;        ///< planes per block for the 3D kernels
   /// Pin the whole (single-shard) run to this virtual device: sweeps fan
@@ -86,6 +89,7 @@ struct PersistentOptions {
 struct PersistentRunStats {
   int sweeps = 0;  ///< kernel sweeps executed; plain steps = sweeps * t
   int t = 1;
+  int p = 0;       ///< sliding window the sweeps used (resolved when auto)
   int tiles = 1;
   int devices = 1;          ///< shards actually used (after domain clamping)
   bool sharded = false;     ///< true: ran across a virtual device group
@@ -498,6 +502,7 @@ inline void log_policy_decision(const char* engine, IterationPolicy policy,
   m += ", tiles=" + std::to_string(r.tiles);
   m += ", sweeps=" + std::to_string(r.sweeps);
   m += ", t=" + std::to_string(r.t);
+  m += ", p=" + std::to_string(r.p);
   m += ", ring_slots=" + std::to_string(r.ring_slots);
   m += ", residence_bytes=" + std::to_string(r.residence_bytes);
   log_debug(m);
@@ -568,10 +573,11 @@ PersistentRunStats iterate_stencil2d_persistent(const sim::ArchSpec& arch, Grid2
                  "aux grid must match the state grid");
   }
   const SystolicPlan<T> plan = build_plan(shape.taps);
-  const TemporalSsamOptions topt{opt.t, opt.p, opt.block_threads};
-  const StencilOptions sopt{opt.p, opt.block_threads};
   const Index w = a.width();
   const Index h = a.height();
+  const int p = choose_p(opt.p, opt.t, plan.rows_halo(), h);
+  const TemporalSsamOptions topt{opt.t, p, opt.block_threads};
+  const StencilOptions sopt{p, opt.block_threads};
   const int dy_max = plan.dy_min + plan.rows_halo();
   const Index ht = static_cast<Index>(-opt.t * plan.dy_min);
   const Index hb = static_cast<Index>(opt.t * dy_max);
@@ -579,10 +585,11 @@ PersistentRunStats iterate_stencil2d_persistent(const sim::ArchSpec& arch, Grid2
   PersistentRunStats r;
   r.sweeps = sweeps;
   r.t = opt.t;
+  r.p = p;
 
   if (!detail::choose_persistent(opt.policy, sweeps)) {
     const detail::ShardSplit sp =
-        detail::split_shards(h, opt.shard, static_cast<Index>(opt.p), min_band);
+        detail::split_shards(h, opt.shard, static_cast<Index>(p), min_band);
     r.devices = sp.sharded() ? sp.shards() : 1;
     r.sharded = sp.sharded();
     if (sweeps > 0 && sp.sharded()) {
@@ -608,14 +615,14 @@ PersistentRunStats iterate_stencil2d_persistent(const sim::ArchSpec& arch, Grid2
           if (opt.t == 1) {
             detail::Stencil2dSetup st = detail::stencil2d_setup(in, plan, sopt);
             st.row_origin = y0;
-            st.cfg.grid.y = static_cast<int>(ceil_div(band, static_cast<Index>(opt.p)));
+            st.cfg.grid.y = static_cast<int>(ceil_div(band, static_cast<Index>(p)));
             cfgs[static_cast<std::size_t>(s)] = st.cfg;
             return std::function<void(sim::FunctionalBlockContext&)>(
                 detail::make_stencil2d_body<T>(st, in, plan.passes.front(), out));
           }
           detail::Stencil2dSetup st = detail::stencil2d_temporal_setup(in, plan, topt);
           st.row_origin = y0;
-          st.cfg.grid.y = static_cast<int>(ceil_div(band, static_cast<Index>(opt.p)));
+          st.cfg.grid.y = static_cast<int>(ceil_div(band, static_cast<Index>(p)));
           cfgs[static_cast<std::size_t>(s)] = st.cfg;
           return std::function<void(sim::FunctionalBlockContext&)>(
               detail::make_stencil2d_temporal_body<T>(st, in, plan.passes.front(), opt.t,
@@ -698,7 +705,7 @@ PersistentRunStats iterate_stencil2d_persistent(const sim::ArchSpec& arch, Grid2
   req.elem_bytes = sizeof(T);
   req.ht = ht;
   req.hb = hb;
-  req.align = static_cast<Index>(opt.p);
+  req.align = static_cast<Index>(p);
   req.min_band = min_band;
   req.want_tiles = opt.tiles;
   req.sweeps = sweeps;
@@ -744,7 +751,7 @@ PersistentRunStats iterate_stencil2d_persistent(const sim::ArchSpec& arch, Grid2
     const GridView2D<T> out_a(wr.buf_a, w, ht + band, w);
     const GridView2D<T> out_b(wr.buf_b, w, ht + band, w);
     const GridView2D<T> out_global(a.data(), w, y0 + band, w);
-    const int grid_y = static_cast<int>(ceil_div(band, static_cast<Index>(opt.p)));
+    const int grid_y = static_cast<int>(ceil_div(band, static_cast<Index>(p)));
     const int last_parity = (sweeps - 1) % 2;
     auto make_body = [&](Index origin, Index store_off, GridView2D<const T> in,
                          GridView2D<T> out) {
@@ -821,8 +828,10 @@ PersistentRunStats iterate_stencil3d_persistent(const sim::ArchSpec& arch, Grid3
                  "aux grid must match the state grid");
   }
   const SystolicPlan<T> plan = build_plan(shape.taps);
-  const Temporal3DOptions topt{opt.t, opt.p, opt.warps3d};
-  const Stencil3DOptions sopt{opt.p, opt.warps3d};
+  const int p = choose_p(opt.p, opt.t, plan.rows_halo(), a.ny(), opt.warps3d,
+                         published_smem_rows<T>(arch, opt.warps3d, off_plane_passes(plan)));
+  const Temporal3DOptions topt{opt.t, p, opt.warps3d};
+  const Stencil3DOptions sopt{p, opt.warps3d};
   const Index nx = a.nx();
   const Index ny = a.ny();
   const Index nz = a.nz();
@@ -833,6 +842,7 @@ PersistentRunStats iterate_stencil3d_persistent(const sim::ArchSpec& arch, Grid3
   PersistentRunStats r;
   r.sweeps = sweeps;
   r.t = opt.t;
+  r.p = p;
 
   if (!detail::choose_persistent(opt.policy, sweeps)) {
     const detail::ShardSplit sp =
@@ -855,7 +865,7 @@ PersistentRunStats iterate_stencil3d_persistent(const sim::ArchSpec& arch, Grid3
         const Index band = sp.starts[static_cast<std::size_t>(s) + 1] - z0;
         auto make = [&](GridView3D<const T> in, GridView3D<T> out) {
           if (opt.t == 1) {
-            detail::Stencil3dSetup<T> st = detail::stencil3d_setup(in, plan, sopt);
+            detail::Stencil3dSetup<T> st = detail::stencil3d_setup(arch, in, plan, sopt);
             st.z_origin = z0;
             st.z_store_lo = z0;
             st.z_store_hi = z0 + band;
@@ -865,7 +875,7 @@ PersistentRunStats iterate_stencil3d_persistent(const sim::ArchSpec& arch, Grid3
                 detail::make_stencil3d_body<T>(std::move(st), in, out));
           }
           detail::Temporal3DSetup<T> st =
-              detail::stencil3d_temporal_setup(in, plan, topt, {z0, band});
+              detail::stencil3d_temporal_setup(arch, in, plan, topt, {z0, band});
           cfgs[static_cast<std::size_t>(s)] = st.cfg;
           return std::function<void(sim::FunctionalBlockContext&)>(
               detail::make_stencil3d_temporal_body<T>(std::move(st), in, out));
@@ -919,13 +929,14 @@ PersistentRunStats iterate_stencil3d_persistent(const sim::ArchSpec& arch, Grid3
         if (sweeps % 2 == 1) std::swap(a, b);
       };
       if (opt.t == 1) {
-        detail::Stencil3dSetup<T> s = detail::stencil3d_setup(a.cview(), plan, sopt);
+        detail::Stencil3dSetup<T> s = detail::stencil3d_setup(arch, a.cview(), plan, sopt);
         const sim::LaunchConfig cfg = s.cfg;
         auto ping = detail::make_stencil3d_body<T>(s, a.cview(), b.view());
         auto pong = detail::make_stencil3d_body<T>(std::move(s), b.cview(), a.view());
         run_sweeps(cfg, ping, pong);
       } else {
-        detail::Temporal3DSetup<T> s = detail::stencil3d_temporal_setup(a.cview(), plan, topt);
+        detail::Temporal3DSetup<T> s =
+            detail::stencil3d_temporal_setup(arch, a.cview(), plan, topt);
         const sim::LaunchConfig cfg = s.cfg;
         auto ping = detail::make_stencil3d_temporal_body<T>(s, a.cview(), b.view());
         auto pong = detail::make_stencil3d_temporal_body<T>(std::move(s), b.cview(), a.view());
@@ -995,7 +1006,7 @@ PersistentRunStats iterate_stencil3d_persistent(const sim::ArchSpec& arch, Grid3
     auto make_body = [&](Index z0_load, Index store_off, GridView3D<const T> in,
                          GridView3D<T> out) {
       if (opt.t == 1) {
-        detail::Stencil3dSetup<T> s = detail::stencil3d_setup(in, plan, sopt);
+        detail::Stencil3dSetup<T> s = detail::stencil3d_setup(arch, in, plan, sopt);
         s.z_origin = z0_load;
         s.z_store_lo = z0_load;
         s.z_store_hi = z0_load + band;
@@ -1006,7 +1017,7 @@ PersistentRunStats iterate_stencil3d_persistent(const sim::ArchSpec& arch, Grid3
             detail::make_stencil3d_body<T>(std::move(s), in, out));
       }
       detail::Temporal3DSetup<T> s =
-          detail::stencil3d_temporal_setup(in, plan, topt, {z0_load, band});
+          detail::stencil3d_temporal_setup(arch, in, plan, topt, {z0_load, band});
       s.z_store_offset = store_off;
       wr.cfg = s.cfg;
       return std::function<void(sim::FunctionalBlockContext&)>(

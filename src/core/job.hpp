@@ -46,7 +46,7 @@ struct JobHints {
   IterationPolicy policy = IterationPolicy::kAuto;
   int tiles = 0;  ///< 0: auto
   int t = 1;      ///< fused time steps per sweep
-  int p = 4;
+  int p = 0;      ///< sliding window; 0: auto (see PersistentOptions::p)
   int block_threads = 128;
   int warps3d = 8;
   /// Resolve policy/tiles/sharding through the autotuner (core/autotune.hpp)
@@ -327,7 +327,8 @@ inline PersistentRunStats run_job(const sim::ArchSpec& arch, const SimJob& job,
       // One launch = one "sweep": same cancel/fault gate as the iterative
       // paths, on the calling thread.
       detail::relaunch_sweep_gate(popt.cancel, device != nullptr ? device->index() : -1);
-      const ConvOptions copt{job.hints.p, job.hints.block_threads};
+      const int p = choose_p(job.hints.p, 1, job.filter_n - 1, job.a2->height());
+      const ConvOptions copt{p, job.hints.block_threads};
       const detail::Conv2dSetup s = detail::conv2d_setup<float>(
           job.a2->cview(), job.filter.size(), job.filter_m, job.filter_n, copt);
       auto body =
@@ -340,6 +341,7 @@ inline PersistentRunStats run_job(const sim::ArchSpec& arch, const SimJob& job,
       }
       PersistentRunStats r;
       r.sweeps = 1;
+      r.p = p;
       return r;
     }
     case JobKind::kChain: {

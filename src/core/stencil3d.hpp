@@ -10,7 +10,10 @@
 // sums with neighbours' published sums and store.
 #pragma once
 
+#include <algorithm>
+#include <cstdint>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "common/grid.hpp"
@@ -28,12 +31,47 @@ struct Stencil3DOptions {
   int warps = 8;  ///< planes per block
 };
 
-/// Bound on the flat per-block register state (warps x P partial sums) the
-/// 3D kernels keep across barriers without heap allocation.
-inline constexpr int kMaxBlockRegRows = 320;
-
 [[nodiscard]] inline int stencil3d_ssam_regs(int rows_halo, int p, int passes) {
   return (p + rows_halo) + p * passes + 12;
+}
+
+/// Shared memory one block's published dz != 0 partial sums take: a slot of
+/// `rows` 32-lane rows per (warp, off-plane pass), one slot when the plan has
+/// no off-plane pass (kMaxBlockRegRows is the register-side bound).
+template <typename T>
+[[nodiscard]] std::int64_t published_smem_bytes(int warps, int n_off, int rows) {
+  return static_cast<std::int64_t>(warps) * std::max(1, n_off) * rows * sim::kWarpSize *
+         static_cast<std::int64_t>(sizeof(T));
+}
+
+/// Rejects published partial sums above the per-block shared memory at
+/// setup, with the ResourceError `alloc_smem` would raise — but on the
+/// calling thread, where a pool worker inside the launch could only abort.
+template <typename T>
+void require_published_smem(const sim::ArchSpec& arch, int warps, int n_off, int rows) {
+  const std::int64_t bytes = published_smem_bytes<T>(warps, n_off, rows);
+  if (bytes > arch.smem_per_block) {
+    throw ResourceError("3D partial sums need " + std::to_string(bytes) +
+                        " bytes of shared memory per block, above the per-block limit (" +
+                        std::to_string(arch.smem_per_block) + ")");
+  }
+}
+
+/// Published rows per slot that fit `arch`'s per-block shared memory (the
+/// bound resolve_p takes for a 3D run). Called before the setups reject a
+/// block of no warps, hence the floor.
+template <typename T>
+[[nodiscard]] int published_smem_rows(const sim::ArchSpec& arch, int warps, int n_off) {
+  return static_cast<int>(std::min<std::int64_t>(
+      arch.smem_per_block / published_smem_bytes<T>(std::max(warps, 1), n_off, 1),
+      kMaxRegCacheRows));
+}
+
+/// Off-plane (dz != 0) passes of a 3D plan: one published slot each.
+template <typename T>
+[[nodiscard]] int off_plane_passes(const SystolicPlan<T>& plan) {
+  return static_cast<int>(std::count_if(plan.passes.begin(), plan.passes.end(),
+                                         [](const ColumnPass<T>& p) { return p.dz != 0; }));
 }
 
 namespace detail {
@@ -98,7 +136,8 @@ bool compile_3d_passes(const SystolicPlan<T>& plan,
 }
 
 template <typename T>
-[[nodiscard]] Stencil3dSetup<T> stencil3d_setup(const GridView3D<const T>& in,
+[[nodiscard]] Stencil3dSetup<T> stencil3d_setup(const sim::ArchSpec& arch,
+                                                const GridView3D<const T>& in,
                                                 const SystolicPlan<T>& plan,
                                                 const Stencil3DOptions& opt) {
   const int rz = plan.rz();
@@ -108,6 +147,7 @@ template <typename T>
   SSAM_REQUIRE(opt.warps * opt.p <= kMaxBlockRegRows,
                "per-block partial-sum state exceeds the inline bound");
   require_reg_cache_rows(opt.p + plan.rows_halo());
+  require_published_smem<T>(arch, opt.warps, off_plane_passes(plan), opt.p);
   Stencil3dSetup<T> s;
   s.nx = in.nx();
   s.ny = in.ny();
@@ -230,7 +270,7 @@ KernelStats stencil3d_ssam(const sim::ArchSpec& arch, const GridView3D<const T>&
                            const SystolicPlan<T>& plan, GridView3D<T> out,
                            const Stencil3DOptions& opt = {},
                            ExecMode mode = ExecMode::kFunctional, SampleSpec sample = {}) {
-  detail::Stencil3dSetup<T> s = detail::stencil3d_setup(in, plan, opt);
+  detail::Stencil3dSetup<T> s = detail::stencil3d_setup(arch, in, plan, opt);
   const sim::LaunchConfig cfg = s.cfg;
   auto body = detail::make_stencil3d_body<T>(std::move(s), in, out);
   return sim::launch(arch, cfg, body, mode, sample);
@@ -250,7 +290,7 @@ template <typename T>
 sim::Event stencil3d_ssam_async(sim::Stream& stream, const sim::ArchSpec& arch,
                                 const GridView3D<const T>& in, const SystolicPlan<T>& plan,
                                 GridView3D<T> out, const Stencil3DOptions& opt = {}) {
-  detail::Stencil3dSetup<T> s = detail::stencil3d_setup(in, plan, opt);
+  detail::Stencil3dSetup<T> s = detail::stencil3d_setup(arch, in, plan, opt);
   const sim::LaunchConfig cfg = s.cfg;
   return stream.launch(arch, cfg, detail::make_stencil3d_body<T>(std::move(s), in, out));
 }

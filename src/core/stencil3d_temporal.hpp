@@ -77,7 +77,8 @@ struct Temporal3DSetup {
 };
 
 template <typename T>
-[[nodiscard]] Temporal3DSetup<T> stencil3d_temporal_setup(const GridView3D<const T>& in,
+[[nodiscard]] Temporal3DSetup<T> stencil3d_temporal_setup(const sim::ArchSpec& arch,
+                                                          const GridView3D<const T>& in,
                                                           const SystolicPlan<T>& plan,
                                                           const Temporal3DOptions& opt,
                                                           ZWindow3 win = {}) {
@@ -94,6 +95,9 @@ template <typename T>
   require_reg_cache_rows(opt.p + s.t * s.dy_span);
   SSAM_REQUIRE(opt.warps * (opt.p + s.t * s.dy_span) <= kMaxBlockRegRows,
                "per-block register level state exceeds the inline bound");
+  // The largest published level has P + (t - 1) * dy_span rows.
+  require_published_smem<T>(arch, opt.warps, off_plane_passes(plan),
+                            opt.p + (s.t - 1) * s.dy_span);
   s.nx = in.nx();
   s.ny = in.ny();
   s.nz = in.nz();
@@ -239,7 +243,7 @@ KernelStats stencil3d_ssam_temporal(const sim::ArchSpec& arch,
                                     const Temporal3DOptions& opt = {},
                                     ExecMode mode = ExecMode::kFunctional,
                                     SampleSpec sample = {}) {
-  detail::Temporal3DSetup<T> s = detail::stencil3d_temporal_setup(in, plan, opt);
+  detail::Temporal3DSetup<T> s = detail::stencil3d_temporal_setup(arch, in, plan, opt);
   const sim::LaunchConfig cfg = s.cfg;
   auto body = detail::make_stencil3d_temporal_body<T>(std::move(s), in, out);
   return sim::launch(arch, cfg, body, mode, sample);

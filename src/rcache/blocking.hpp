@@ -4,14 +4,17 @@
 // WarpSize - span lanes hold valid outputs, so consecutive warps overlap by
 // `span` columns (the halo lanes of Figure 3). Vertically, each warp loads
 // C = P + N - 1 rows to emit P output rows. This header centralizes the
-// index bookkeeping and the halo-ratio analysis of Section 5.3.
+// index bookkeeping and the choice of P for a run (the halo-ratio analysis
+// of Section 5.3 lives in perfmodel/latency_model.hpp).
 #pragma once
 
-#include <cmath>
+#include <algorithm>
 
 #include "common/error.hpp"
 #include "common/types.hpp"
+#include "core/kernel_common.hpp"
 #include "gpusim/vec.hpp"
+#include "rcache/register_cache.hpp"
 
 namespace ssam::core {
 
@@ -51,21 +54,6 @@ struct Blocking2D {
   [[nodiscard]] Index top_row(int by, int cy) const {
     return static_cast<Index>(by) * p - cy;
   }
-
-  /// Halo ratio of the register cache method (Section 5.3):
-  /// HRrc = (S*C - (S-M)*(C-N)) / (S*C), with S = WarpSize.
-  [[nodiscard]] static double halo_ratio_rc(int m, int n, int p) {
-    const double s = sim::kWarpSize;
-    const double c = p + n - 1;
-    return (s * c - (s - m) * (c - n)) / (s * c);
-  }
-
-  /// Paper's closed-form bound: HRrc < (S*N + C*M) / (S*C).
-  [[nodiscard]] static double halo_ratio_bound(int m, int n, int p) {
-    const double s = sim::kWarpSize;
-    const double c = p + n - 1;
-    return (s * n + c * m) / (s * c);
-  }
 };
 
 /// Geometry of the 3D overlapped blocking scheme (Section 4.9): a block of
@@ -93,5 +81,47 @@ struct Blocking3D {
     return static_cast<double>(2 * rz) / warps;
   }
 };
+
+/// Bound on the flat per-block register state the 3D kernels keep across
+/// barriers without heap allocation: warps x P dz = 0 sums for one step,
+/// warps x (P + t * dy_span) level rows for t fused steps.
+inline constexpr int kMaxBlockRegRows = 320;
+
+/// The sliding window P of a host run when the caller leaves it to the
+/// engine. The paper fixes P = 4 because V100 occupancy falls past it; the
+/// host engines have no occupancy limit, and a longer window re-reads fewer
+/// halo rows per output row ((P + t * halo_rows) / P), so the choice is
+/// 8 * t, clamped to every bound the kernels check at setup:
+///  * P <= kMaxOutputsPerThread and P + t * halo_rows <= kMaxRegCacheRows;
+///  * 3D (warps3d > 0): the per-block register state fits kMaxBlockRegRows,
+///    and P + (t - 1) * halo_rows published rows per (warp, off-plane pass)
+///    fit the `smem_rows` that shared memory holds;
+///  * P <= rows (the domain's extent along the window), and P >= 1.
+/// Every bound is monotone in P, so a run that was legal at P = 4 stays
+/// legal. Output never depends on P (tests/test_sliding_window.cpp pins
+/// that bit for bit), so resolving it never changes a result.
+[[nodiscard]] inline int resolve_p(int t, int halo_rows, Index rows, int warps3d = 0,
+                                   int smem_rows = 0) {
+  t = std::max(t, 1);
+  int p = std::min({8 * std::min(t, kMaxOutputsPerThread), kMaxOutputsPerThread,
+                    kMaxRegCacheRows - t * halo_rows});
+  if (warps3d > 0) {
+    const int level_rows = t > 1 ? t * halo_rows : 0;
+    p = std::min({p, kMaxBlockRegRows / warps3d - level_rows,
+                  smem_rows - (t - 1) * halo_rows});
+  }
+  if (rows < p) p = static_cast<int>(rows);
+  return std::max(p, 1);
+}
+
+/// The window a run uses: an explicit `requested` > 0 as given, 0 (auto)
+/// through resolve_p. The kernel option structs keep the paper's P = 4;
+/// the iteration engines, the chain engine and run_job resolve here.
+[[nodiscard]] inline int choose_p(int requested, int t, int halo_rows, Index rows,
+                                  int warps3d = 0, int smem_rows = 0) {
+  SSAM_REQUIRE(requested >= 0,
+               "sliding window P must be positive, or 0 to let the engine choose");
+  return requested > 0 ? requested : resolve_p(t, halo_rows, rows, warps3d, smem_rows);
+}
 
 }  // namespace ssam::core

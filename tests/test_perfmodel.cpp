@@ -76,15 +76,14 @@ TEST(HaloModel, LargerWindowLowersHaloRatio) {
 
 TEST(HaloModel, MatchesBlockingGeometryCount) {
   // HRrc must equal the fraction of loaded elements that are not unique
-  // outputs in the blocking geometry: (S*C - (S-M)(C-N)) / (S*C). Cross-check
-  // against first-principles counting with the Blocking2D accessors.
+  // outputs in the blocking geometry: (S*C - (S-M)(C-N)) / (S*C), written out
+  // directly here against the perfmodel's single copy of the formula.
   for (int m : {2, 5, 9}) {
     for (int n : {2, 5, 9}) {
       for (int p : {1, 4, 8}) {
         const double s = sim::kWarpSize;
         const double c = p + n - 1;
         const double direct = (s * c - (s - m) * (c - n)) / (s * c);
-        EXPECT_DOUBLE_EQ(core::Blocking2D::halo_ratio_rc(m, n, p), direct);
         EXPECT_DOUBLE_EQ(perf::halo_ratio_rc(m, n, p), direct);
       }
     }

@@ -22,6 +22,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <future>
+#include <limits>
 #include <set>
 #include <string>
 #include <utility>
@@ -100,6 +101,17 @@ Index units_for(SplitMix64& rng, int tiles, Index align) {
   return static_cast<Index>(tiles) * align + ragged;
 }
 
+/// The sliding window of an auto-P 2D run whose deepest stage reaches
+/// `halo_rows` rows at `t` fused steps, over a grid taller than the window:
+/// band extents are multiples of it.
+Index window_for(int t, int halo_rows) {
+  return core::resolve_p(t, halo_rows, std::numeric_limits<Index>::max());
+}
+
+int rows_halo(const core::StencilShape<float>& shape) {
+  return core::build_plan(shape.taps).rows_halo();
+}
+
 // ------------------------------------------------ randomized differential
 
 TEST(RingDifferential, PersistentMatchesRelaunchFarAboveTheRing) {
@@ -142,7 +154,7 @@ TEST(RingDifferential, PersistentMatchesRelaunchFarAboveTheRing) {
       opt.tiles = tiles;
       const core::StencilShape<float> shape = random_shape2d(rng, radius);
       const Index w = 17 + static_cast<Index>(rng.next_below(48));
-      const Index h = units_for(rng, tiles, static_cast<Index>(opt.p));
+      const Index h = units_for(rng, tiles, window_for(opt.t, rows_halo(shape)));
       Grid2D<float> src(w, h);
       fill_random(src, seed ^ 0x9e3779b9u);
       Grid2D<float> ra = src, rb(w, h), pa = src, pb(w, h);
@@ -191,7 +203,9 @@ TEST(RingDifferential, PersistentMatchesRelaunchFarAboveTheRing) {
         stages.push_back(std::move(stage));
       }
       const Index w = 17 + static_cast<Index>(rng.next_below(48));
-      const Index h = units_for(rng, tiles, static_cast<Index>(opt.p));
+      int deepest = 0;
+      for (const auto& stage : stages) deepest = std::max(deepest, rows_halo(stage.shape));
+      const Index h = units_for(rng, tiles, window_for(1, deepest));
       Grid2D<float> src(w, h);
       fill_random(src, seed ^ 0x9e3779b9u);
       Grid2D<float> staged(w, h), fused(w, h);
@@ -287,10 +301,11 @@ TEST(RingStats, RunStatsAndPolicyLogReportTheRing) {
   const int slots = ring_for(sweeps, 2);
   const int tiles = 4 * slots;
   const Index w = 1024;  // wide rows: per-buffer skew guards stay negligible
-  Grid2D<float> src(w, 4 * tiles);
-  fill_random(src, 5);
   const core::StencilShape<float> shape = core::star2d<float>(1);
-  Grid2D<float> ra = src, rb(w, 4 * tiles), pa = src, pb(w, 4 * tiles);
+  const Index p = window_for(1, rows_halo(shape));  // one band of p rows per tile
+  Grid2D<float> src(w, p * tiles);
+  fill_random(src, 5);
+  Grid2D<float> ra = src, rb(w, p * tiles), pa = src, pb(w, p * tiles);
   core::PersistentOptions opt;
   opt.tiles = tiles;  // kAuto: 2 sweeps already choose the persistent engine
   core::PersistentOptions ref = opt;
@@ -312,9 +327,11 @@ TEST(RingStats, RunStatsAndPolicyLogReportTheRing) {
   ASSERT_TRUE(r.persistent);
   EXPECT_EQ(r.tiles, tiles);
   EXPECT_EQ(r.ring_slots, slots);
-  const std::size_t pair = 2 * std::size_t{4 + 2} * w * sizeof(float);
+  EXPECT_EQ(r.p, p);
+  const std::size_t pair = 2 * static_cast<std::size_t>(p + 2) * w * sizeof(float);
   EXPECT_GE(r.residence_bytes, static_cast<std::size_t>(slots) * pair);
   EXPECT_LT(r.residence_bytes, static_cast<std::size_t>(2 * slots) * pair);
+  EXPECT_NE(log.find(", p=" + std::to_string(p) + ","), std::string::npos) << log;
   EXPECT_NE(log.find("ring_slots=" + std::to_string(slots)), std::string::npos) << log;
   EXPECT_NE(log.find("residence_bytes=" + std::to_string(r.residence_bytes)),
             std::string::npos)
@@ -332,10 +349,10 @@ TEST(RingAbort, CancelMidRingEndsTypedAndLeavesAUsableWorkspace) {
     const int sweeps = 3;
     const int tiles = 4 * ring_for(sweeps, pool);
     const Index w = 24;
-    const Index h = 4 * static_cast<Index>(tiles);
+    const core::StencilShape<float> shape = core::star2d<float>(1);
+    const Index h = window_for(1, rows_halo(shape)) * tiles;  // one band per tile
     Grid2D<float> src(w, h);
     fill_random(src, 11);
-    const core::StencilShape<float> shape = core::star2d<float>(1);
     sim::PersistentWorkspace ws;
 
     // 2D with a post hook (staged load/drain): cancel once half of all
@@ -436,10 +453,10 @@ TEST(RingAbort, InjectedFaultMidRingEndsTypedAndDoesNotHang) {
       const int dev_workers = sharded ? std::max(1, pool / 2) : pool;
       const int tiles = 4 * ring_for(sweeps, dev_workers) * (sharded ? 2 : 1);
       const Index w = 20;
-      const Index h = 4 * static_cast<Index>(tiles);
+      const core::StencilShape<float> shape = core::star2d<float>(1);
+      const Index h = window_for(1, rows_halo(shape)) * tiles;  // one band per tile
       Grid2D<float> src(w, h);
       fill_random(src, 17);
-      const core::StencilShape<float> shape = core::star2d<float>(1);
       sim::DeviceGroup group(two_devices(dev_workers));
       core::PersistentOptions opt;
       opt.policy = core::IterationPolicy::kPersistent;
