@@ -98,54 +98,16 @@ std::string hex64(std::uint64_t v) {
   return os.str();
 }
 
-/// Horizontal tap extent (the Eq. 4 shuffle axis), active tap count, and the
-/// band-axis extent (rows in 2D, z-planes in 3D — what halos are made of).
-struct TapFootprint {
-  int taps = 1;
-  int mx = 1;
-  int rows = 1;
-};
-
-TapFootprint footprint_of(const StencilShape<float>& shape, bool three_d) {
-  TapFootprint f;
-  if (shape.taps.empty()) return f;
-  int dx0 = 0, dx1 = 0, dy0 = 0, dy1 = 0, dz0 = 0, dz1 = 0;
+/// Band-axis extent of a shape (rows in 2D, z-planes in 3D): what halos
+/// are made of.
+int band_extent(const StencilShape<float>& shape, bool three_d) {
+  int lo = 0, hi = 0;
   for (const auto& t : shape.taps) {
-    dx0 = std::min(dx0, t.dx);
-    dx1 = std::max(dx1, t.dx);
-    dy0 = std::min(dy0, t.dy);
-    dy1 = std::max(dy1, t.dy);
-    dz0 = std::min(dz0, t.dz);
-    dz1 = std::max(dz1, t.dz);
+    const int d = three_d ? t.dz : t.dy;
+    lo = std::min(lo, d);
+    hi = std::max(hi, d);
   }
-  f.taps = static_cast<int>(shape.taps.size());
-  f.mx = dx1 - dx0 + 1;
-  f.rows = three_d ? (dz1 - dz0 + 1) : (dy1 - dy0 + 1);
-  return f;
-}
-
-/// Mean per-element compute units of one accounting sweep of `job` (a chain
-/// "sweep" passes an element through every stage; job.steps mirrors depth).
-double per_elem_units(const SimJob& job, const perf::MicroLatencies& lat) {
-  if (job.kind == JobKind::kConv2D) {
-    const int m = std::max(1, job.filter_m);
-    const int n = std::max(1, job.filter_n);
-    return perf::latency_ssam_taps(m * n, m, lat);
-  }
-  if (job.kind == JobKind::kChain) {
-    double total = 0.0;
-    for (const auto& st : job.stages) {
-      const TapFootprint f = footprint_of(st.shape, false);
-      total += perf::latency_ssam_taps(f.taps, f.mx, lat) * std::max(1, st.t);
-      if (st.dual()) {
-        const TapFootprint fb = footprint_of(st.shape_b, false);
-        total += perf::latency_ssam_taps(fb.taps, fb.mx, lat);
-      }
-    }
-    return total / std::max(1, job.steps);
-  }
-  const TapFootprint f = footprint_of(job.shape, job.kind == JobKind::kStencil3D);
-  return perf::latency_ssam_taps(f.taps, f.mx, lat);
+  return hi - lo + 1;
 }
 
 /// Band-axis unit count and bytes per unit — what auto_tiles_for sizes
@@ -244,8 +206,9 @@ double CostModel::predict_units(const SimJob& job, const Schedule& s,
   const double cells = static_cast<double>(job.cells());
   const double sweeps = static_cast<double>(std::max(1, job.steps));
   const int workers = std::max(1, pool_workers);
-  const double compute =
-      cells * per_elem_units(job, lat) * std::max(1, s.t) * sweeps;
+  // The job's own price: the tuner keeps t as hinted (only bit-safe knobs
+  // are tuned), so the compute term is the same for every candidate.
+  const double compute = job_units(job, lat);
 
   // Coalesced global traffic: one warp-wide load amortizes t_gmem_read over
   // the lane count.
@@ -264,8 +227,8 @@ double CostModel::predict_units(const SimJob& job, const Schedule& s,
   }
   tiles = std::max(1, std::min<int>(tiles, static_cast<int>(band_units)));
 
-  const TapFootprint f = footprint_of(job.shape, job.kind == JobKind::kStencil3D);
-  const double halo_units_per_tile = 2.0 * f.rows * std::max(1, s.t);
+  const double halo_units_per_tile =
+      2.0 * band_extent(job.shape, job.kind == JobKind::kStencil3D) * std::max(1, s.t);
 
   double memory = 0.0;
   double overhead = 0.0;

@@ -196,44 +196,21 @@ template <typename T>
 /// A stage lowered against concrete input/output views: its launch config
 /// plus the bound body. `band` >= 0 shrinks the launch to a band of rows
 /// (`cfg.grid.y = ceil(band / p)`); -1 keeps the full-grid geometry.
-struct Chain2dStageKernel {
-  sim::LaunchConfig cfg;
-  std::function<void(sim::FunctionalBlockContext&)> body;
-};
-
 template <typename T>
-[[nodiscard]] Chain2dStageKernel make_chain2d_stage_kernel(
-    const ChainStage<T>& st, const ChainStagePlan<T>& cp, GridView2D<const T> in,
-    GridView2D<T> out, Index row_origin, Index store_off, Index band, int p,
-    int block_threads) {
-  Chain2dStageKernel k;
-  auto place = [&](Stencil2dSetup& s) {
-    s.row_origin = row_origin;
-    s.store_row_offset = store_off;
-    if (band >= 0) s.cfg.grid.y = static_cast<int>(ceil_div(band, static_cast<Index>(p)));
-    k.cfg = s.cfg;
-  };
-  const SystolicPlan<T>& plan = cp.plan;
-  if (st.dual()) {
-    const StencilOptions sopt{p, block_threads};
-    Stencil2dSetup s = stencil2d_setup(in, plan, sopt);
-    place(s);
-    k.body = make_stencil2d_dual_body<T>(s, in, cp.dual_sweep, st.combine, out);
-    return k;
+[[nodiscard]] BandSweep make_chain2d_stage_kernel(const ChainStage<T>& st,
+                                                  const ChainStagePlan<T>& cp,
+                                                  GridView2D<const T> in, GridView2D<T> out,
+                                                  Index row_origin, Index store_off,
+                                                  Index band, int p, int block_threads) {
+  if (!st.dual()) {
+    return make_stencil2d_sweep(cp.plan, st.t, p, block_threads, in, out, row_origin,
+                                store_off, band);
   }
-  if (st.t == 1) {
-    const StencilOptions sopt{p, block_threads};
-    Stencil2dSetup s = stencil2d_setup(in, plan, sopt);
-    place(s);
-    k.body = make_stencil2d_body<T>(s, in, plan.passes.front(), out);
-    return k;
-  }
-  const TemporalSsamOptions topt{st.t, p, block_threads};
-  Stencil2dSetup s = stencil2d_temporal_setup(in, plan, topt);
-  place(s);
-  k.body = make_stencil2d_temporal_body<T>(s, in, plan.passes.front(), st.t,
-                                           plan.rows_halo(), out);
-  return k;
+  Stencil2dSetup s = stencil2d_setup(in, cp.plan, StencilOptions{p, block_threads});
+  s.row_origin = row_origin;
+  s.store_row_offset = store_off;
+  if (band >= 0) s.cfg.grid.y = static_cast<int>(ceil_div(band, static_cast<Index>(p)));
+  return {s.cfg, make_stencil2d_dual_body<T>(s, in, cp.dual_sweep, st.combine, out), {}};
 }
 
 template <typename T>
@@ -269,7 +246,6 @@ PersistentRunStats run_chain2d(const sim::ArchSpec& arch, const Grid2D<T>& in,
   const int k = static_cast<int>(stages.size());
   const Index w = in.width();
   const Index h = in.height();
-  ThreadPool& lane = opt.device != nullptr ? opt.device->pool() : ThreadPool::global();
 
   // Uniform band-layout halo: the deepest reach on each side across the
   // stages. Every exchange carries the full depth; a shallower stage reads
@@ -295,7 +271,13 @@ PersistentRunStats run_chain2d(const sim::ArchSpec& arch, const Grid2D<T>& in,
   r.sweeps = k;
   r.t = 1;
   r.p = p;
-  const Index min_band = std::max<Index>({ht, hb, 1});
+  detail::RowBands g;
+  g.units = h;
+  g.unit_elems = w;
+  g.w = w;
+  g.ht = ht;
+  g.hb = hb;
+  g.align = static_cast<Index>(p);
 
   const bool fused = k >= 2 && detail::choose_persistent(opt.policy, k);
   if (!fused) {
@@ -320,10 +302,12 @@ PersistentRunStats run_chain2d(const sim::ArchSpec& arch, const Grid2D<T>& in,
       detail::relaunch_sweep_gate(opt.cancel, dev);
       T* dst = s == k - 1 ? out.data() : (s % 2 == 0 ? ping : pong);
       const GridView2D<T> out_v(dst, w, h, w);
-      detail::Chain2dStageKernel kk = detail::make_chain2d_stage_kernel(
+      const detail::BandSweep kk = detail::make_chain2d_stage_kernel(
           stages[static_cast<std::size_t>(s)], plans[static_cast<std::size_t>(s)], cur, out_v,
           0, 0, -1, p, opt.block_threads);
-      sim::detail::run_functional_grid_on(lane, arch, kk.cfg, kk.body);
+      sim::detail::run_functional_grid_on(
+          opt.device != nullptr ? opt.device->pool() : ThreadPool::global(), arch, kk.cfg,
+          kk.body);
       if (opt.device != nullptr) {
         opt.device->counters().sweeps.fetch_add(1, std::memory_order_relaxed);
       }
@@ -335,86 +319,30 @@ PersistentRunStats run_chain2d(const sim::ArchSpec& arch, const Grid2D<T>& in,
     return r;
   }
 
-  detail::BandLayoutRequest req;
-  req.units = h;
-  req.unit_elems = w;
-  req.elem_bytes = sizeof(T);
-  req.ht = ht;
-  req.hb = hb;
-  req.align = static_cast<Index>(p);
-  req.min_band = min_band;
-  req.want_tiles = opt.tiles;
-  req.sweeps = k;
-  req.lane_workers = opt.device != nullptr ? opt.device->pool().size() : 0;
-  sim::PersistentWorkspace& wsp = ws != nullptr ? *ws : detail::default_workspace();
-  const detail::BandLayout L = detail::build_band_layout(req, opt.shard, wsp);
-  const int tiles = L.tiles();
-  detail::note_layout(r, L);
-  detail::log_policy_decision("run_chain2d", opt.policy, r);
-
-  detail::RunControl ctl;
-  ctl.cancel = opt.cancel;
-  ctl.device = opt.device != nullptr ? opt.device->index() : -1;
-  ctl.faults = FaultInjector::global().enabled();
-
-  std::vector<std::unique_ptr<detail::ResidentBandTile<T>>> tile_objs;
-  tile_objs.reserve(static_cast<std::size_t>(tiles));
-  for (int i = 0; i < tiles; ++i) {
-    const Index y0 = L.starts[static_cast<std::size_t>(i)];
-    const Index band = L.starts[static_cast<std::size_t>(i) + 1] - y0;
-    const Index buf_rows = ht + band + hb;
-    typename detail::ResidentBandTile<T>::Wiring wr;
-    wr.arch = &arch;
-    wr.src = in.data();
-    wr.dst = out.data();
-    wr.unit_elems = w;
-    wr.band = band;
-    wr.ht = ht;
-    wr.hb = hb;
-    wr.u0 = y0;
-    wr.sweeps = k;
-    wr.attach(L, i, opt.device);
-    wr.control = &ctl;
-    T* ba = wr.buf_a;
-    T* bb = wr.buf_b;
-
-    // Sweep s reads epoch s (buffer s % 2) and writes epoch s + 1 (the
-    // other buffer); the first sweep reads the global input and the last
-    // stores to the global output, both fused (src != dst).
-    const GridView2D<const T> in_a(ba, w, buf_rows, w);
-    const GridView2D<const T> in_b(bb, w, buf_rows, w);
-    const GridView2D<T> out_a(ba, w, ht + band, w);
-    const GridView2D<T> out_b(bb, w, ht + band, w);
-    const GridView2D<T> out_global(out.data(), w, y0 + band, w);
-    wr.chain.reserve(static_cast<std::size_t>(k));
-    for (int s = 0; s < k; ++s) {
-      const bool first = s == 0;
-      const bool last = s == k - 1;
-      const GridView2D<const T> in_v = first ? in.cview() : (s % 2 == 0 ? in_a : in_b);
-      const GridView2D<T> out_v =
-          last ? out_global : ((s + 1) % 2 == 0 ? out_a : out_b);
-      const Index origin = first ? y0 : ht;
-      const Index soff = first ? ht - y0 : (last ? y0 - ht : 0);
-      detail::Chain2dStageKernel kk = detail::make_chain2d_stage_kernel(
-          stages[static_cast<std::size_t>(s)], plans[static_cast<std::size_t>(s)], in_v, out_v,
-          origin, soff, band, p, opt.block_threads);
-      typename detail::ResidentBandTile<T>::ChainSweep cs;
-      cs.cfg = kk.cfg;
-      cs.body = std::move(kk.body);
-      if (stages[static_cast<std::size_t>(s)].map) {
-        T* base = last ? out.data() + y0 * w
-                       : ((s + 1) % 2 == 0 ? ba : bb) + ht * w;
-        cs.epilogue = [base, n = band * w,
-                       fn = stages[static_cast<std::size_t>(s)].map] {
-          detail::chain_apply_map(base, n, fn);
-        };
-      }
-      wr.chain.push_back(std::move(cs));
-    }
-    tile_objs.push_back(std::make_unique<detail::ResidentBandTile<T>>(std::move(wr)));
-  }
-
-  detail::run_band_tiles(L, tile_objs, lane, ctl);
+  // Fused path: sweep s of every tile applies stage s. Chains never alias
+  // input and output, so both boundary sweeps fuse at any depth, and every
+  // stage is its own sweep-table entry.
+  typename detail::ResidentBandTile<T>::Wiring proto;
+  proto.arch = &arch;
+  proto.src = in.data();
+  proto.dst = out.data();
+  proto.sweeps = k;
+  proto.lead = k;
+  proto.fused_first = true;
+  proto.fused_last = true;
+  detail::run_resident<T>(
+      "run_chain2d", g, proto, opt, ws, r,
+      [&](int s, GridView2D<const T> in_v, GridView2D<T> out_v, Index origin,
+          Index store_off, Index band) {
+        return detail::make_chain2d_stage_kernel(
+            stages[static_cast<std::size_t>(s)], plans[static_cast<std::size_t>(s)], in_v,
+            out_v, origin, store_off, band, p, opt.block_threads);
+      },
+      [&](int s, T* next, const T*, T*, Index band) -> std::function<void()> {
+        const std::function<T(T)>& map = stages[static_cast<std::size_t>(s)].map;
+        if (!map) return {};
+        return [next, n = band * w, &map] { detail::chain_apply_map(next, n, map); };
+      });
   return r;
 }
 

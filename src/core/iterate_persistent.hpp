@@ -33,15 +33,26 @@
 // field — enough for two-field updates like the acoustic wave equation
 // (examples/acoustic_wave_3d.cpp). The post path keeps the staged
 // load/drain (the hook must see every produced band in residence).
+//
+// One engine serves both dimensions: a band geometry (detail::RowBands,
+// detail::PlaneBands) names the band axis, its halo depth, its alignment
+// and how to view a run of units, and a sweep factory binds one kernel
+// sweep to such views. detail::iterate_bands runs either the relaunch loop
+// (one loop for every shard policy) or the resident tiles, which
+// detail::run_resident sets up for the iteration engines and the fused
+// chain (core/chain.hpp) alike.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <cstring>
 #include <functional>
-#include <memory>
+#include <optional>
+#include <span>
 #include <string>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "common/cancel.hpp"
@@ -180,43 +191,104 @@ inline void relaunch_sweep_gate(const CancelToken& cancel, int device) {
   if (fi.enabled()) fi.maybe_throw(FaultSite::kKernelSweep, device, "relaunch sweep");
 }
 
+/// One kernel sweep bound to concrete views: its launch geometry, its body,
+/// and an optional element-wise epilogue over the band it produced (an
+/// iteration post hook or a chain stage's map). The epilogue runs before
+/// the band's boundary is published, so consumers always see post-epilogue
+/// state — the relaunch path and the staged chain apply it to the whole
+/// grid before the next sweep reads it.
+struct BandSweep {
+  sim::LaunchConfig cfg;
+  std::function<void(sim::FunctionalBlockContext&)> body;
+  std::function<void()> epilogue;
+};
+
+/// One 2D stencil sweep of t fused steps, placed as the sweep-factory
+/// contract says (see iterate_bands); `band` < 0 keeps the full-grid launch.
+template <typename T>
+[[nodiscard]] BandSweep make_stencil2d_sweep(const SystolicPlan<T>& plan, int t, int p,
+                                             int block_threads, GridView2D<const T> in,
+                                             GridView2D<T> out, Index origin, Index store_off,
+                                             Index band) {
+  Stencil2dSetup s =
+      t == 1 ? stencil2d_setup(in, plan, StencilOptions{p, block_threads})
+             : stencil2d_temporal_setup(in, plan, TemporalSsamOptions{t, p, block_threads});
+  s.row_origin = origin;
+  s.store_row_offset = store_off;
+  if (band >= 0) s.cfg.grid.y = static_cast<int>(ceil_div(band, static_cast<Index>(p)));
+  BandSweep k{s.cfg, {}, {}};
+  if (t == 1) {
+    k.body = make_stencil2d_body<T>(s, in, plan.passes.front(), out);
+  } else {
+    k.body = make_stencil2d_temporal_body<T>(s, in, plan.passes.front(), t, plan.rows_halo(),
+                                             out);
+  }
+  return k;
+}
+
+/// Band geometry of one run: the band axis holds `units` units (rows in 2D,
+/// z-planes in 3D) of `unit_elems` contiguous elements; every band carries
+/// `ht`/`hb` halo units above/below and is cut at multiples of `align`
+/// units (the sliding window p in 2D, the valid planes per block in 3D).
+/// The per-dimension geometries add `view(base, n)`: the grid view of n
+/// consecutive units starting at `base`.
+struct BandGeometry {
+  Index units = 0;
+  Index unit_elems = 0;
+  Index ht = 0;
+  Index hb = 0;
+  Index align = 1;
+
+  /// Smallest band that can source its neighbours' halos.
+  [[nodiscard]] Index min_band() const { return std::max<Index>({ht, hb, 1}); }
+};
+
+/// Row bands of a `w`-wide 2D grid.
+struct RowBands : BandGeometry {
+  Index w = 0;
+
+  template <typename U>
+  [[nodiscard]] GridView2D<U> view(U* base, Index rows) const {
+    return {base, w, rows, w};
+  }
+};
+
+/// z-plane bands of an nx x ny x nz grid.
+struct PlaneBands : BandGeometry {
+  Index nx = 0;
+  Index ny = 0;
+
+  template <typename U>
+  [[nodiscard]] GridView3D<U> view(U* base, Index planes) const {
+    return {base, nx, ny, planes};
+  }
+};
+
 /// One resident band tile: the dimension-agnostic state machine. A `unit`
 /// is one contiguous row (2D) or plane (3D) of `unit_elems` elements; the
 /// residence buffers hold ht + band + hb units, the band starting at unit
-/// ht. The sweep bodies and the post hook are injected by the engine.
+/// ht. The engine binds the tile's sweeps (run_resident). A run keeps its
+/// tiles in one array and each owner writes its tile's state, so tiles
+/// start on their own cache line.
 template <typename T>
-class ResidentBandTile final : public sim::PersistentTask {
+class alignas(64) ResidentBandTile final : public sim::PersistentTask {
  public:
-  /// One stage of a fused chain run (core/chain.hpp): its own launch
-  /// geometry and body (stages differ in span/halo, so neither is shared),
-  /// plus an optional fully-bound element-wise epilogue over the stage's
-  /// output band. The epilogue runs before the boundary is published so
-  /// consumers always see post-map state — the staged reference maps the
-  /// whole intermediate grid before the next stage reads it.
-  struct ChainSweep {
-    sim::LaunchConfig cfg;
-    std::function<void(sim::FunctionalBlockContext&)> body;
-    std::function<void()> epilogue;
-  };
-
   struct Wiring {
     const sim::ArchSpec* arch = nullptr;
-    sim::LaunchConfig cfg;
-    /// sweep[0] reads buf_a and writes buf_b; sweep[1] the reverse.
-    std::function<void(sim::FunctionalBlockContext&)> sweep[2];
-    /// Fused boundary sweeps: `first` reads the global array and writes
-    /// buf_b (skips the staged load; engine sets it only when sweeps >= 2,
-    /// see iterate_stencil2d_persistent for why that orders every fused
-    /// final store after the neighbours' fused global reads); `last` reads
-    /// buf_[(sweeps-1) % 2] and stores straight to the global array.
-    /// Either may be empty: the staged kLoad/kDrain copies take over.
-    std::function<void(sim::FunctionalBlockContext&)> sweep_first;
-    std::function<void(sim::FunctionalBlockContext&)> sweep_last;
-    /// Optional element-wise hook over the band (next, cur, aux pointers to
-    /// the first band unit); null aux when no aux field is resident.
-    std::function<void(T*, const T*, T*)> post;
-    const T* src = nullptr;  ///< initial state (full array)
-    T* dst = nullptr;        ///< final state target (full array)
+    /// The tile's distinct sweeps. Sweep s runs table[s] while s < lead (a
+    /// chain's stages, an iteration's fused first sweep); a fused last
+    /// sweep past the lead runs the final entry; every other sweep runs
+    /// entry lead + (s - lead) % 2. Sweep s reads epoch s (buf_[s % 2]) and
+    /// writes epoch s + 1 (the other buffer).
+    std::span<const BandSweep> table;
+    int lead = 0;
+    /// fused_first: sweep 0 reads `src` itself (no staged load; the global
+    /// array serves as epoch 0). fused_last: the final sweep stores straight
+    /// to `dst` (no staged drain). The engine decides when fusing is safe.
+    bool fused_first = false;
+    bool fused_last = false;
+    const T* src = nullptr;  ///< initial state or chain input (full array)
+    T* dst = nullptr;        ///< final state or chain output (full array)
     T* aux_global = nullptr; ///< optional aux field (full array)
     Index unit_elems = 0;
     Index band = 0;  ///< units owned by this tile
@@ -240,16 +312,6 @@ class ResidentBandTile final : public sim::PersistentTask {
     /// The run's shared abort state (cancellation + fault injection); the
     /// engine wires every tile of a run to the same object.
     RunControl* control = nullptr;
-    /// Chain mode (non-empty): sweep s runs chain[s] instead of the
-    /// iteration bodies above — stage s's tile output feeds stage s + 1
-    /// through the same epoch-counted channels (epoch s = stage s - 1
-    /// output). Chain runs require src != dst, so the first sweep always
-    /// reads the global input and the last always stores to the global
-    /// output (both ends fused at ANY depth — iteration needs sweeps >= 2
-    /// only because it aliases src and dst); the staged kLoad/kDrain
-    /// copies and `sweep`/`sweep_first`/`sweep_last` are bypassed entirely.
-    /// `sweeps` must equal chain.size().
-    std::vector<ChainSweep> chain;
     /// Residence ring (core/shard.hpp): done flags of the previous
     /// occupants of this tile's slot and of each neighbour's slot (null:
     /// first occupant, free from the start), and this tile's own flag,
@@ -259,11 +321,13 @@ class ResidentBandTile final : public sim::PersistentTask {
     const std::atomic<bool>* hi_slot_gate = nullptr;
     std::atomic<bool>* done_flag = nullptr;
 
-    /// Wires tile i of `L`: residence buffers, the four channel ends, seam
-    /// flags, counters (a device-pinned run's device when unsharded) and
-    /// ring gates.
+    /// Wires tile i of `L`: its band, residence buffers, the four channel
+    /// ends, seam flags, counters (a device-pinned run's device when
+    /// unsharded) and ring gates.
     void attach(const BandLayout& L, int i, sim::Device* pinned) {
       const auto u = static_cast<std::size_t>(i);
+      u0 = L.starts[u];
+      band = L.starts[u + 1] - u0;
       buf_a = reinterpret_cast<T*>(L.buf_a[u]);
       buf_b = reinterpret_cast<T*>(L.buf_b[u]);
       aux_res = reinterpret_cast<T*>(L.aux[u]);
@@ -286,7 +350,8 @@ class ResidentBandTile final : public sim::PersistentTask {
     }
   };
 
-  explicit ResidentBandTile(Wiring w) : w_(std::move(w)) {}
+  /// Installs the tile's wiring; called once, before the run starts.
+  void wire(Wiring w) { w_ = std::move(w); }
 
   [[nodiscard]] bool done() const override { return state_ == State::kDone; }
 
@@ -301,18 +366,10 @@ class ResidentBandTile final : public sim::PersistentTask {
         // The slot must be released by its previous occupant; a staged
         // load also publishes epoch 0 into both neighbours' slots.
         if (!slot_free(w_.slot_gate)) return false;
-        const bool staged = w_.chain.empty() && !w_.sweep_first;
-        if (staged && !neighbour_slots_free()) return false;
-        if (!w_.chain.empty()) {
-          // Chain mode: the first sweep reads the global input (epoch 0
-          // needs no publication) and nothing else is resident yet.
-          state_ = State::kStep;
-          return true;
-        }
-        if (!w_.sweep_first) {
+        if (!w_.fused_first) {
+          if (!neighbour_slots_free()) return false;
           // Staged load: copy the band into residence and publish the
-          // initial boundary as epoch 0. (With a fused first sweep the
-          // global array itself serves as epoch 0.)
+          // initial boundary as epoch 0.
           copy_units(w_.buf_a + w_.ht * w_.unit_elems, w_.src + w_.u0 * w_.unit_elems,
                      w_.band);
           publish_boundaries(w_.buf_a, 0);
@@ -324,11 +381,7 @@ class ResidentBandTile final : public sim::PersistentTask {
         return true;
       }
       case State::kStep: {
-        const bool chain = !w_.chain.empty();
-        const bool fused_first =
-            s_ == 0 && (chain || static_cast<bool>(w_.sweep_first));
-        const bool fused_last =
-            s_ == w_.sweeps - 1 && (chain || static_cast<bool>(w_.sweep_last));
+        const bool fused_first = s_ == 0 && w_.fused_first;
         // All-or-nothing readiness: input epoch present (unless this sweep
         // reads the global array) and output halo slots free, otherwise
         // yield to another tile.
@@ -348,28 +401,15 @@ class ResidentBandTile final : public sim::PersistentTask {
         // worker) lets the scheduler unwind at a clean sweep boundary.
         if (w_.control != nullptr && w_.control->sweep_gate(will_publish)) return false;
         if (!fused_first) replicate_domain_edges();
-        if (chain) {
-          const ChainSweep& cs = w_.chain[static_cast<std::size_t>(s_)];
-          sim::run_grid_on_caller(*w_.arch, cs.cfg, cs.body);
-        } else {
-          const auto& body = fused_first ? w_.sweep_first
-                             : fused_last ? w_.sweep_last
-                                          : w_.sweep[flip_];
-          sim::run_grid_on_caller(*w_.arch, w_.cfg, body);
-        }
+        const BandSweep& k = sweep_at(s_);
+        sim::run_grid_on_caller(*w_.arch, k.cfg, k.body);
         if (w_.counters != nullptr) {
           w_.counters->sweeps.fetch_add(1, std::memory_order_relaxed);
         }
         // The consumed halos (epoch s_) free up for epoch s_ + 2.
         if (w_.in_lo != nullptr) w_.in_lo->release(s_);
         if (w_.in_hi != nullptr) w_.in_hi->release(s_);
-        if (chain) {
-          const ChainSweep& cs = w_.chain[static_cast<std::size_t>(s_)];
-          if (cs.epilogue) cs.epilogue();
-        } else if (w_.post) {
-          w_.post(next_buf() + w_.ht * w_.unit_elems, cur_buf() + w_.ht * w_.unit_elems,
-                  w_.aux_res);
-        }
+        if (k.epilogue) k.epilogue();
         if (will_publish) publish_boundaries(next_buf(), s_ + 1);
         flip_ ^= 1;
         ++s_;
@@ -377,16 +417,12 @@ class ResidentBandTile final : public sim::PersistentTask {
         return true;
       }
       case State::kDrain: {
-        // Chain mode: the fused last sweep already stored to the global
-        // output; nothing is staged.
-        if (w_.chain.empty()) {
-          if (!w_.sweep_last && w_.sweeps > 0) {
-            copy_units(w_.dst + w_.u0 * w_.unit_elems, cur_buf() + w_.ht * w_.unit_elems,
-                       w_.band);
-          }
-          if (w_.aux_res != nullptr) {
-            copy_units(w_.aux_global + w_.u0 * w_.unit_elems, w_.aux_res, w_.band);
-          }
+        if (!w_.fused_last && w_.sweeps > 0) {
+          copy_units(w_.dst + w_.u0 * w_.unit_elems, cur_buf() + w_.ht * w_.unit_elems,
+                     w_.band);
+        }
+        if (w_.aux_res != nullptr) {
+          copy_units(w_.aux_global + w_.u0 * w_.unit_elems, w_.aux_res, w_.band);
         }
         // Every neighbour has published all it owes this slot (this tile
         // consumed the last epoch), so the next occupant may take it.
@@ -408,6 +444,13 @@ class ResidentBandTile final : public sim::PersistentTask {
   }
   [[nodiscard]] bool neighbour_slots_free() const {
     return slot_free(w_.lo_slot_gate) && slot_free(w_.hi_slot_gate);
+  }
+
+  /// The table entry sweep `s` runs (see Wiring::table).
+  [[nodiscard]] const BandSweep& sweep_at(int s) const {
+    if (s < w_.lead) return w_.table[static_cast<std::size_t>(s)];
+    if (w_.fused_last && s == w_.sweeps - 1) return w_.table.back();
+    return w_.table[static_cast<std::size_t>(w_.lead + (s - w_.lead) % 2)];
   }
 
   [[nodiscard]] T* cur_buf() const { return flip_ == 0 ? w_.buf_a : w_.buf_b; }
@@ -508,27 +551,95 @@ inline void log_policy_decision(const char* engine, IterationPolicy policy,
   log_debug(m);
 }
 
-/// Records what a persistent run's band layout resolved to.
-inline void note_layout(PersistentRunStats& r, const BandLayout& L) {
+/// The one resident-run setup, shared by the iteration engines and the
+/// fused chain: lays out the bands of `g` (core/shard.hpp), wires one tile
+/// per band to the run's abort control, channels and ring slot, binds each
+/// tile's sweep table, runs the tiles (one cooperative scheduler on the
+/// run's lane, one per device when sharded) and rethrows what the run
+/// recorded. `proto` carries the run-wide wiring (arch, src, dst, aux,
+/// sweeps, lead, fused ends). For every table entry, `kernel(s, in, out,
+/// origin, store_off, band)` builds sweep s over the band whose first unit
+/// sits at `origin` in `in`, storing it at origin + store_off in `out`;
+/// `epilogue(s, next, cur, aux, band)` binds the sweep's optional epilogue
+/// over the band it wrote, the band it read, and the tile's aux band.
+template <typename T, typename Geo, typename KernelFn, typename EpilogueFn>
+void run_resident(const char* engine, const Geo& g,
+                  typename ResidentBandTile<T>::Wiring proto, const PersistentOptions& opt,
+                  sim::PersistentWorkspace* ws, PersistentRunStats& r, KernelFn&& kernel,
+                  EpilogueFn&& epilogue) {
+  BandLayoutRequest req;
+  req.units = g.units;
+  req.unit_elems = g.unit_elems;
+  req.elem_bytes = sizeof(T);
+  req.ht = g.ht;
+  req.hb = g.hb;
+  req.align = g.align;
+  req.min_band = g.min_band();
+  req.want_tiles = opt.tiles;
+  req.sweeps = proto.sweeps;
+  req.has_aux = proto.aux_global != nullptr;
+  req.lane_workers = opt.device != nullptr ? opt.device->pool().size() : 0;
+  sim::PersistentWorkspace& wsp = ws != nullptr ? *ws : default_workspace();
+  const BandLayout L = build_band_layout(req, opt.shard, wsp);
   r.tiles = L.tiles();
   r.devices = L.sharded() ? static_cast<int>(L.devices.size()) : 1;
   r.sharded = L.sharded();
   r.persistent = true;
   r.ring_slots = L.ring_slots;
   r.residence_bytes = L.residence_bytes;
-}
+  log_policy_decision(engine, opt.policy, r);
+  if (proto.sweeps == 0) return;
 
-/// Runs the tiles of layout `L` to completion — one cooperative scheduler
-/// on `lane` in single mode, one per device when sharded — then rethrows
-/// what the run recorded on the calling thread.
-template <typename T>
-void run_band_tiles(const BandLayout& L,
-                    const std::vector<std::unique_ptr<ResidentBandTile<T>>>& tile_objs,
-                    ThreadPool& lane, RunControl& ctl) {
-  std::vector<sim::PersistentTask*> tasks;
-  tasks.reserve(tile_objs.size());
-  for (const auto& t : tile_objs) tasks.push_back(t.get());
+  RunControl ctl;
+  ctl.cancel = opt.cancel;
+  ctl.device = opt.device != nullptr ? opt.device->index() : -1;
+  ctl.faults = FaultInjector::global().enabled();
+  proto.control = &ctl;
+  proto.unit_elems = g.unit_elems;
+  proto.ht = g.ht;
+  proto.hb = g.hb;
+
+  // Table entries per tile: the lead sweeps, up to two alternating middle
+  // sweeps, and a fused last sweep past the lead. Entry e stands for sweep
+  // e, the fused-last entry for the final sweep.
+  const int sweeps = proto.sweeps;
+  const int last = proto.fused_last && sweeps - 1 >= proto.lead ? 1 : 0;
+  const int entries = proto.lead + std::min(2, sweeps - proto.lead - last) + last;
+  const auto n = static_cast<std::size_t>(entries);
+  const auto tiles = static_cast<std::size_t>(L.tiles());
+  std::vector<BandSweep> table(tiles * n);
+  std::vector<ResidentBandTile<T>> tile_objs(tiles);
+  std::vector<sim::PersistentTask*> tasks(tiles);
+  for (std::size_t i = 0; i < tiles; ++i) {
+    typename ResidentBandTile<T>::Wiring wr = proto;
+    wr.attach(L, static_cast<int>(i), opt.device);
+    BandSweep* mine = table.data() + i * n;
+    for (int e = 0; e < entries; ++e) {
+      const int s = last == 1 && e == entries - 1 ? sweeps - 1 : e;
+      const bool first = s == 0 && wr.fused_first;
+      const bool fin = s == sweeps - 1 && wr.fused_last;
+      // A fused first sweep reads the band where it sits in `src`, a fused
+      // last sweep stores it where it sits in `dst`; every other sweep
+      // reads and writes the band at unit ht of the residence buffers.
+      const T* in = first ? wr.src : (s % 2 == 0 ? wr.buf_a : wr.buf_b);
+      T* out = fin ? wr.dst : (s % 2 == 0 ? wr.buf_b : wr.buf_a);
+      const Index origin = first ? wr.u0 : g.ht;
+      const Index store = fin ? wr.u0 : g.ht;
+      BandSweep& k = mine[e];
+      // The store view ends at the band, so the sweep never writes the
+      // target buffer's halo units (the next exchange fills them).
+      k = kernel(s, g.view(in, first ? g.units : g.ht + wr.band + g.hb),
+                 g.view(out, store + wr.band), origin, store - origin, wr.band);
+      k.epilogue = epilogue(s, out + store * g.unit_elems, in + origin * g.unit_elems,
+                            wr.aux_res, wr.band);
+    }
+    wr.table = std::span<const BandSweep>(mine, n);
+    tile_objs[i].wire(std::move(wr));
+    tasks[i] = &tile_objs[i];
+  }
+
   if (!L.sharded()) {
+    ThreadPool& lane = opt.device != nullptr ? opt.device->pool() : ThreadPool::global();
     sim::run_persistent_on(lane, tasks, &ctl.stop);
   } else {
     std::vector<std::span<sim::PersistentTask* const>> groups;
@@ -539,6 +650,119 @@ void run_band_tiles(const BandLayout& L,
     sim::run_persistent_group(L.devices, groups, &ctl.stop);
   }
   ctl.throw_if_aborted();
+}
+
+/// The iteration engine behind iterate_stencil2d_persistent and
+/// iterate_stencil3d_persistent: `sweeps` sweeps over `a` on the bands of
+/// `g`, final state in `a` (`b` is the relaunch path's scratch).
+/// `sweep(in, out, origin, store_off, band)` is the geometry's sweep
+/// factory: one kernel sweep over the band of `band` units whose first unit
+/// sits at `origin` in `in`, stored at origin + store_off in `out`. The
+/// optional post hook runs element-wise over each band after its sweep,
+/// with the matching band of the aux field.
+template <typename T, typename Geo, typename GridT, typename SweepFn, typename PostFn>
+PersistentRunStats iterate_bands(const char* engine, const sim::ArchSpec& arch, const Geo& g,
+                                 GridT& a, GridT& b, int sweeps, const PersistentOptions& opt,
+                                 const SweepFn& sweep, PostFn& post, GridT* aux,
+                                 sim::PersistentWorkspace* ws, PersistentRunStats r) {
+  constexpr bool kHasPost = !std::is_same_v<PostFn, NoPost>;
+  // The post hook bound to one band's views: next (the sweep's output),
+  // cur (its input) and aux (null: no aux field).
+  auto bind_post = [&g, &post](T* next, const T* cur, T* aux_band,
+                               Index band) -> std::function<void()> {
+    if constexpr (kHasPost) {
+      return [&g, &post, next, cur, aux_band, band] {
+        using View = decltype(g.view(aux_band, band));
+        post(g.view(next, band), g.view(cur, band),
+             aux_band != nullptr ? g.view(aux_band, band) : View{});
+      };
+    } else {
+      return {};
+    }
+  };
+
+  if (!choose_persistent(opt.policy, sweeps)) {
+    const ShardSplit sp = split_shards(g.units, opt.shard, g.align, g.min_band());
+    r.devices = sp.sharded() ? sp.shards() : 1;
+    r.sharded = sp.sharded();
+    if (sweeps > 0) {
+      // One relaunch loop for every shard policy: each shard sweeps its
+      // band of the global grids on its device's pool — a single-pool run
+      // is the one shard [0, units) on the run's lane — with the store
+      // clipped at the shard seam (units past the band belong to the next
+      // device). One group barrier per sweep keeps the global arrays
+      // consistent, so seam reads come straight from them and results are
+      // bit-identical to the per-step path. Kernel [parity][shard], built
+      // only for the parities the run uses; a one-shard run keeps its
+      // kernels on the stack.
+      const auto ns = static_cast<std::size_t>(sp.shards());
+      const auto parities = static_cast<std::size_t>(std::min(sweeps, 2));
+      std::array<BandSweep, 2> local;
+      std::vector<BandSweep> many(ns > 1 ? 2 * ns : 0);
+      BandSweep* kernels = ns > 1 ? many.data() : local.data();
+      for (std::size_t s = 0; s < ns; ++s) {
+        const Index u0 = sp.starts[s];
+        const Index band = sp.starts[s + 1] - u0;
+        for (std::size_t parity = 0; parity < parities; ++parity) {
+          const T* cur = (parity == 0 ? a : b).data();
+          T* nxt = (parity == 0 ? b : a).data();
+          BandSweep& k = kernels[parity * ns + s];
+          k = sweep(g.view(cur, g.units), g.view(nxt, u0 + band), u0, Index{0}, band);
+          k.epilogue = bind_post(nxt + u0 * g.unit_elems, cur + u0 * g.unit_elems,
+                                 aux != nullptr ? aux->data() + u0 * g.unit_elems : nullptr,
+                                 band);
+        }
+      }
+      const int dev = !sp.sharded() && opt.device != nullptr ? opt.device->index() : -1;
+      for (int sw = 0; sw < sweeps; ++sw) {
+        relaunch_sweep_gate(opt.cancel, dev);
+        const BandSweep* ks = kernels + static_cast<std::size_t>(sw % 2) * ns;
+        auto run_shard = [&](int s) {
+          sim::Device* d = sp.sharded() ? sp.devices[static_cast<std::size_t>(s)] : opt.device;
+          const BandSweep& k = ks[s];
+          sim::detail::run_functional_grid_on(d != nullptr ? d->pool() : ThreadPool::global(),
+                                              arch, k.cfg, k.body);
+          if (d != nullptr) d->counters().sweeps.fetch_add(1, std::memory_order_relaxed);
+          if (k.epilogue) k.epilogue();
+        };
+        if (sp.sharded()) {
+          sim::for_each_device(sp.devices, run_shard);
+        } else {
+          run_shard(0);
+        }
+      }
+      if (sweeps % 2 == 1) std::swap(a, b);
+    }
+    log_policy_decision(engine, opt.policy, r);
+    return r;
+  }
+
+  typename ResidentBandTile<T>::Wiring proto;
+  proto.arch = &arch;
+  proto.src = a.data();
+  proto.dst = a.data();
+  proto.aux_global = aux != nullptr ? aux->data() : nullptr;
+  proto.sweeps = sweeps;
+  // Fused boundary sweeps: the first reads the global array and the last
+  // stores to it, and both touch the same array. Neighbour j reads this
+  // tile's edge units in its fused first sweep (sweep 0); this tile stores
+  // them in its last sweep, which needs epoch sweeps - 1 >= 1 from j, and j
+  // publishes epoch 1 only after that read. So every neighbour's read
+  // happens-before the store from sweeps >= 2 on; at one sweep the read and
+  // the store would be the same sweep. A post hook keeps the staged load
+  // and drain: it must see every produced band in residence.
+  proto.fused_first = !kHasPost && sweeps >= 2;
+  proto.fused_last = !kHasPost;
+  proto.lead = proto.fused_first ? 1 : 0;
+  run_resident<T>(
+      engine, g, proto, opt, ws, r,
+      [&sweep](int, auto in, auto out, Index origin, Index store_off, Index band) {
+        return sweep(in, out, origin, store_off, band);
+      },
+      [&bind_post](int, T* next, const T* cur, T* aux_band, Index band) {
+        return bind_post(next, cur, aux_band, band);
+      });
+  return r;
 }
 
 }  // namespace detail
@@ -558,14 +782,12 @@ PersistentRunStats iterate_stencil2d_persistent(const sim::ArchSpec& arch, Grid2
                                                 PostFn post = {}, Grid2D<T>* aux = nullptr,
                                                 sim::PersistentWorkspace* ws = nullptr) {
   static_assert(std::is_trivially_copyable_v<T>, "residence buffers hold raw elements");
-  constexpr bool kHasPost = !std::is_same_v<PostFn, detail::NoPost>;
   SSAM_REQUIRE(sweeps >= 0, "negative sweep count");
   SSAM_REQUIRE(a.width() == b.width() && a.height() == b.height(),
                "ping/pong grids must match");
   SSAM_REQUIRE(opt.device == nullptr || opt.shard.mode == ShardMode::kSingle,
                "a device-pinned run cannot also be sharded");
-  ThreadPool& lane = opt.device != nullptr ? opt.device->pool() : ThreadPool::global();
-  if constexpr (kHasPost) {
+  if constexpr (!std::is_same_v<PostFn, detail::NoPost>) {
     SSAM_REQUIRE(opt.t == 1, "post hook requires t == 1 (halos carry post-processed state)");
   }
   if (aux != nullptr) {
@@ -573,232 +795,25 @@ PersistentRunStats iterate_stencil2d_persistent(const sim::ArchSpec& arch, Grid2
                  "aux grid must match the state grid");
   }
   const SystolicPlan<T> plan = build_plan(shape.taps);
-  const Index w = a.width();
-  const Index h = a.height();
-  const int p = choose_p(opt.p, opt.t, plan.rows_halo(), h);
-  const TemporalSsamOptions topt{opt.t, p, opt.block_threads};
-  const StencilOptions sopt{p, opt.block_threads};
-  const int dy_max = plan.dy_min + plan.rows_halo();
-  const Index ht = static_cast<Index>(-opt.t * plan.dy_min);
-  const Index hb = static_cast<Index>(opt.t * dy_max);
-  const Index min_band = std::max<Index>({ht, hb, 1});
+  const int p = choose_p(opt.p, opt.t, plan.rows_halo(), a.height());
+  detail::RowBands g;
+  g.units = a.height();
+  g.unit_elems = a.width();
+  g.w = a.width();
+  g.ht = static_cast<Index>(-opt.t * plan.dy_min);
+  g.hb = static_cast<Index>(opt.t * (plan.dy_min + plan.rows_halo()));
+  g.align = static_cast<Index>(p);
+  auto sweep = [&](GridView2D<const T> in, GridView2D<T> out, Index origin, Index store_off,
+                   Index band) {
+    return detail::make_stencil2d_sweep(plan, opt.t, p, opt.block_threads, in, out, origin,
+                                        store_off, band);
+  };
   PersistentRunStats r;
   r.sweeps = sweeps;
   r.t = opt.t;
   r.p = p;
-
-  if (!detail::choose_persistent(opt.policy, sweeps)) {
-    const detail::ShardSplit sp =
-        detail::split_shards(h, opt.shard, static_cast<Index>(p), min_band);
-    r.devices = sp.sharded() ? sp.shards() : 1;
-    r.sharded = sp.sharded();
-    if (sweeps > 0 && sp.sharded()) {
-      // Sharded relaunch: each device sweeps its shard's rows of the global
-      // grids on its own pool, using the same origin-shifted bodies the
-      // persistent engine uses for fused boundary sweeps, with the store
-      // clipped at the shard seam (rows past the band belong to the next
-      // device). One group barrier per sweep keeps the global arrays
-      // consistent, so seam reads come straight from them and results are
-      // bit-identical to the single-pool per-step path.
-      const int shards = sp.shards();
-      std::vector<sim::LaunchConfig> cfgs(static_cast<std::size_t>(shards));
-      std::array<std::vector<std::function<void(sim::FunctionalBlockContext&)>>, 2>
-          bodies;
-      bodies[0].resize(static_cast<std::size_t>(shards));
-      bodies[1].resize(static_cast<std::size_t>(shards));
-      for (int s = 0; s < shards; ++s) {
-        const Index y0 = sp.starts[static_cast<std::size_t>(s)];
-        const Index band = sp.starts[static_cast<std::size_t>(s) + 1] - y0;
-        const GridView2D<T> out_b(b.data(), w, y0 + band, w);
-        const GridView2D<T> out_a(a.data(), w, y0 + band, w);
-        auto make = [&](GridView2D<const T> in, GridView2D<T> out) {
-          if (opt.t == 1) {
-            detail::Stencil2dSetup st = detail::stencil2d_setup(in, plan, sopt);
-            st.row_origin = y0;
-            st.cfg.grid.y = static_cast<int>(ceil_div(band, static_cast<Index>(p)));
-            cfgs[static_cast<std::size_t>(s)] = st.cfg;
-            return std::function<void(sim::FunctionalBlockContext&)>(
-                detail::make_stencil2d_body<T>(st, in, plan.passes.front(), out));
-          }
-          detail::Stencil2dSetup st = detail::stencil2d_temporal_setup(in, plan, topt);
-          st.row_origin = y0;
-          st.cfg.grid.y = static_cast<int>(ceil_div(band, static_cast<Index>(p)));
-          cfgs[static_cast<std::size_t>(s)] = st.cfg;
-          return std::function<void(sim::FunctionalBlockContext&)>(
-              detail::make_stencil2d_temporal_body<T>(st, in, plan.passes.front(), opt.t,
-                                                      plan.rows_halo(), out));
-        };
-        bodies[0][static_cast<std::size_t>(s)] = make(a.cview(), out_b);
-        bodies[1][static_cast<std::size_t>(s)] = make(b.cview(), out_a);
-      }
-      for (int sw = 0; sw < sweeps; ++sw) {
-        detail::relaunch_sweep_gate(opt.cancel, -1);
-        const int parity = sw % 2;
-        sim::for_each_device(sp.devices, [&](int s) {
-          sim::detail::run_functional_grid_on(
-              sp.devices[static_cast<std::size_t>(s)]->pool(), arch,
-              cfgs[static_cast<std::size_t>(s)],
-              bodies[static_cast<std::size_t>(parity)][static_cast<std::size_t>(s)]);
-          if constexpr (kHasPost) {
-            const Index y0 = sp.starts[static_cast<std::size_t>(s)];
-            const Index band = sp.starts[static_cast<std::size_t>(s) + 1] - y0;
-            Grid2D<T>& nxt = parity == 0 ? b : a;
-            Grid2D<T>& cur = parity == 0 ? a : b;
-            post(GridView2D<T>(nxt.data() + y0 * w, w, band, w),
-                 GridView2D<const T>(cur.data() + y0 * w, w, band, w),
-                 aux != nullptr ? GridView2D<T>(aux->data() + y0 * w, w, band, w)
-                                : GridView2D<T>{});
-          }
-        });
-      }
-      if (sweeps % 2 == 1) std::swap(a, b);
-    } else if (sweeps > 0) {
-      // The functional fan-out goes through `lane` directly so a
-      // device-pinned relaunch run (server dispatch) stays on its device's
-      // slice; on the global pool this is exactly what sim::launch does in
-      // functional mode.
-      auto run_sweeps = [&](const sim::LaunchConfig& cfg, auto& ping, auto& pong) {
-        const int dev = opt.device != nullptr ? opt.device->index() : -1;
-        for (int sw = 0; sw < sweeps; ++sw) {
-          detail::relaunch_sweep_gate(opt.cancel, dev);
-          if (sw % 2 == 0) {
-            sim::detail::run_functional_grid_on(lane, arch, cfg, ping);
-          } else {
-            sim::detail::run_functional_grid_on(lane, arch, cfg, pong);
-          }
-          if (opt.device != nullptr) {
-            opt.device->counters().sweeps.fetch_add(1, std::memory_order_relaxed);
-          }
-          if constexpr (kHasPost) {
-            Grid2D<T>& nxt = (sw % 2 == 0) ? b : a;
-            Grid2D<T>& cur = (sw % 2 == 0) ? a : b;
-            post(nxt.view(), cur.cview(),
-                 aux != nullptr ? aux->view() : GridView2D<T>{});
-          }
-        }
-        if (sweeps % 2 == 1) std::swap(a, b);
-      };
-      if (opt.t == 1) {
-        const detail::Stencil2dSetup s = detail::stencil2d_setup(a.cview(), plan, sopt);
-        auto ping = detail::make_stencil2d_body<T>(s, a.cview(), plan.passes.front(),
-                                                   b.view());
-        auto pong = detail::make_stencil2d_body<T>(s, b.cview(), plan.passes.front(),
-                                                   a.view());
-        run_sweeps(s.cfg, ping, pong);
-      } else {
-        const detail::Stencil2dSetup s =
-            detail::stencil2d_temporal_setup(a.cview(), plan, topt);
-        auto ping = detail::make_stencil2d_temporal_body<T>(
-            s, a.cview(), plan.passes.front(), opt.t, plan.rows_halo(), b.view());
-        auto pong = detail::make_stencil2d_temporal_body<T>(
-            s, b.cview(), plan.passes.front(), opt.t, plan.rows_halo(), a.view());
-        run_sweeps(s.cfg, ping, pong);
-      }
-    }
-    detail::log_policy_decision("iterate_stencil2d", opt.policy, r);
-    return r;
-  }
-
-  detail::BandLayoutRequest req;
-  req.units = h;
-  req.unit_elems = w;
-  req.elem_bytes = sizeof(T);
-  req.ht = ht;
-  req.hb = hb;
-  req.align = static_cast<Index>(p);
-  req.min_band = min_band;
-  req.want_tiles = opt.tiles;
-  req.sweeps = sweeps;
-  req.has_aux = aux != nullptr;
-  req.lane_workers = opt.device != nullptr ? opt.device->pool().size() : 0;
-  sim::PersistentWorkspace& wsp = ws != nullptr ? *ws : detail::default_workspace();
-  const detail::BandLayout L = detail::build_band_layout(req, opt.shard, wsp);
-  const int tiles = L.tiles();
-  detail::note_layout(r, L);
-  detail::log_policy_decision("iterate_stencil2d", opt.policy, r);
-  if (sweeps == 0) return r;
-  const std::vector<Index>& starts = L.starts;
-
-  detail::RunControl ctl;
-  ctl.cancel = opt.cancel;
-  ctl.device = opt.device != nullptr ? opt.device->index() : -1;
-  ctl.faults = FaultInjector::global().enabled();
-
-  std::vector<std::unique_ptr<detail::ResidentBandTile<T>>> tile_objs;
-  tile_objs.reserve(static_cast<std::size_t>(tiles));
-  for (int i = 0; i < tiles; ++i) {
-    const Index y0 = starts[static_cast<std::size_t>(i)];
-    const Index band = starts[static_cast<std::size_t>(i) + 1] - y0;
-    const Index buf_rows = ht + band + hb;
-    typename detail::ResidentBandTile<T>::Wiring wr;
-    wr.arch = &arch;
-    wr.src = a.data();
-    wr.dst = a.data();
-    wr.unit_elems = w;
-    wr.band = band;
-    wr.ht = ht;
-    wr.hb = hb;
-    wr.u0 = y0;
-    wr.sweeps = sweeps;
-    wr.attach(L, i, opt.device);
-    if (aux != nullptr) wr.aux_global = aux->data();
-    wr.control = &ctl;
-
-    const GridView2D<const T> in_a(wr.buf_a, w, buf_rows, w);
-    const GridView2D<const T> in_b(wr.buf_b, w, buf_rows, w);
-    // Store views end at the band so the halo rows of the target buffer are
-    // never written by the sweep (the next exchange fills them).
-    const GridView2D<T> out_a(wr.buf_a, w, ht + band, w);
-    const GridView2D<T> out_b(wr.buf_b, w, ht + band, w);
-    const GridView2D<T> out_global(a.data(), w, y0 + band, w);
-    const int grid_y = static_cast<int>(ceil_div(band, static_cast<Index>(p)));
-    const int last_parity = (sweeps - 1) % 2;
-    auto make_body = [&](Index origin, Index store_off, GridView2D<const T> in,
-                         GridView2D<T> out) {
-      if (opt.t == 1) {
-        detail::Stencil2dSetup s = detail::stencil2d_setup(in, plan, sopt);
-        s.row_origin = origin;
-        s.store_row_offset = store_off;
-        s.cfg.grid.y = grid_y;
-        wr.cfg = s.cfg;
-        return std::function<void(sim::FunctionalBlockContext&)>(
-            detail::make_stencil2d_body<T>(s, in, plan.passes.front(), out));
-      }
-      detail::Stencil2dSetup s = detail::stencil2d_temporal_setup(in, plan, topt);
-      s.row_origin = origin;
-      s.store_row_offset = store_off;
-      s.cfg.grid.y = grid_y;
-      wr.cfg = s.cfg;
-      return std::function<void(sim::FunctionalBlockContext&)>(
-          detail::make_stencil2d_temporal_body<T>(s, in, plan.passes.front(), opt.t,
-                                                  plan.rows_halo(), out));
-    };
-    wr.sweep[0] = make_body(ht, 0, in_a, out_b);
-    wr.sweep[1] = make_body(ht, 0, in_b, out_a);
-    if constexpr (!kHasPost) {
-      // Fused boundary sweeps (see Wiring): first reads the global array,
-      // last stores to it, and both touch the same array. Neighbour j reads
-      // this tile's edge rows in its fused first sweep (sweep 0); this tile
-      // stores them in its last sweep, which needs epoch sweeps - 1 >= 1
-      // from j, and j publishes epoch 1 only after that read. So every
-      // neighbour's read happens-before the store from sweeps >= 2 on; at
-      // one sweep the read and the store would be the same sweep.
-      if (sweeps >= 2) {
-        wr.sweep_first = make_body(y0, ht - y0, a.cview(), out_b);
-      }
-      wr.sweep_last = make_body(ht, y0 - ht, last_parity == 0 ? in_a : in_b, out_global);
-    }
-    if constexpr (kHasPost) {
-      wr.post = [post, w, band](T* nb, const T* cb, T* ab) {
-        post(GridView2D<T>(nb, w, band, w), GridView2D<const T>(cb, w, band, w),
-             GridView2D<T>(ab, w, ab != nullptr ? band : 0, w));
-      };
-    }
-    tile_objs.push_back(std::make_unique<detail::ResidentBandTile<T>>(std::move(wr)));
-  }
-
-  detail::run_band_tiles(L, tile_objs, lane, ctl);
-  return r;
+  return detail::iterate_bands<T>("iterate_stencil2d", arch, g, a, b, sweeps, opt, sweep, post,
+                                  aux, ws, r);
 }
 
 /// 3D variant: full-xy z-plane bands. Same contract as the 2D engine; the
@@ -813,14 +828,12 @@ PersistentRunStats iterate_stencil3d_persistent(const sim::ArchSpec& arch, Grid3
                                                 PostFn post = {}, Grid3D<T>* aux = nullptr,
                                                 sim::PersistentWorkspace* ws = nullptr) {
   static_assert(std::is_trivially_copyable_v<T>, "residence buffers hold raw elements");
-  constexpr bool kHasPost = !std::is_same_v<PostFn, detail::NoPost>;
   SSAM_REQUIRE(sweeps >= 0, "negative sweep count");
   SSAM_REQUIRE(a.nx() == b.nx() && a.ny() == b.ny() && a.nz() == b.nz(),
                "ping/pong grids must match");
   SSAM_REQUIRE(opt.device == nullptr || opt.shard.mode == ShardMode::kSingle,
                "a device-pinned run cannot also be sharded");
-  ThreadPool& lane = opt.device != nullptr ? opt.device->pool() : ThreadPool::global();
-  if constexpr (kHasPost) {
+  if constexpr (!std::is_same_v<PostFn, detail::NoPost>) {
     SSAM_REQUIRE(opt.t == 1, "post hook requires t == 1 (halos carry post-processed state)");
   }
   if (aux != nullptr) {
@@ -830,220 +843,62 @@ PersistentRunStats iterate_stencil3d_persistent(const sim::ArchSpec& arch, Grid3
   const SystolicPlan<T> plan = build_plan(shape.taps);
   const int p = choose_p(opt.p, opt.t, plan.rows_halo(), a.ny(), opt.warps3d,
                          published_smem_rows<T>(arch, opt.warps3d, off_plane_passes(plan)));
-  const Temporal3DOptions topt{opt.t, p, opt.warps3d};
-  const Stencil3DOptions sopt{p, opt.warps3d};
-  const Index nx = a.nx();
-  const Index ny = a.ny();
-  const Index nz = a.nz();
-  const Index plane = nx * ny;
-  const Index hz = static_cast<Index>(opt.t * plan.rz());
-  const int vp = opt.warps3d - 2 * opt.t * plan.rz();
-  const Index align3 = static_cast<Index>(std::max(vp, 1));
+  const int vp = opt.warps3d - 2 * opt.t * plan.rz();  // valid output planes per block
+  detail::PlaneBands g;
+  g.units = a.nz();
+  g.unit_elems = a.nx() * a.ny();
+  g.nx = a.nx();
+  g.ny = a.ny();
+  g.ht = static_cast<Index>(opt.t * plan.rz());
+  g.hb = g.ht;
+  g.align = static_cast<Index>(std::max(vp, 1));
+  // The z-window stores only the band planes [origin, origin + band),
+  // relocated by store_off into the output array. The pass schedule is
+  // compiled once per run: every sweep copies the setup built for the first
+  // view and re-places it (of the input view, only its depth reaches the
+  // setup; nx and ny are the same in every view of a run).
+  std::optional<detail::Stencil3dSetup<T>> base;
+  std::optional<detail::Temporal3DSetup<T>> tbase;
+  auto sweep = [&](GridView3D<const T> in, GridView3D<T> out, Index origin, Index store_off,
+                   Index band) {
+    SSAM_REQUIRE(vp > 0, "z block too shallow for t fused steps");
+    const int grid_z = static_cast<int>(ceil_div(band, static_cast<Index>(vp)));
+    detail::BandSweep k;
+    if (opt.t == 1) {
+      if (!base) base = detail::stencil3d_setup(arch, in, plan, Stencil3DOptions{p, opt.warps3d});
+      detail::Stencil3dSetup<T> s = *base;
+      s.nz = in.nz();
+      s.z_origin = origin;
+      s.z_store_lo = origin;
+      s.z_store_hi = origin + band;
+      s.z_store_offset = store_off;
+      s.cfg.grid.z = grid_z;
+      k.cfg = s.cfg;
+      k.body = detail::make_stencil3d_body<T>(std::move(s), in, out);
+    } else {
+      if (!tbase) {
+        tbase = detail::stencil3d_temporal_setup(arch, in, plan,
+                                                 Temporal3DOptions{opt.t, p, opt.warps3d});
+      }
+      detail::Temporal3DSetup<T> s = *tbase;
+      s.nz = in.nz();
+      s.z_lo = origin;
+      s.z_hi = origin + band;
+      s.z_store_offset = store_off;
+      s.cfg.grid.z = grid_z;
+      k.cfg = s.cfg;
+      k.body = detail::make_stencil3d_temporal_body<T>(std::move(s), in, out);
+    }
+    return k;
+  };
   PersistentRunStats r;
   r.sweeps = sweeps;
   r.t = opt.t;
   r.p = p;
-
-  if (!detail::choose_persistent(opt.policy, sweeps)) {
-    const detail::ShardSplit sp =
-        detail::split_shards(nz, opt.shard, align3, std::max<Index>(hz, 1));
-    r.devices = sp.sharded() ? sp.shards() : 1;
-    r.sharded = sp.sharded();
-    if (sweeps > 0 && sp.sharded()) {
-      // Sharded relaunch in 3D: per-device z-band launches over the global
-      // grids with the store window clipped at the shard seam, one group
-      // barrier per sweep (see the 2D engine for the parity argument).
-      SSAM_REQUIRE(vp > 0, "z block too shallow for t fused steps");
-      const int shards = sp.shards();
-      std::vector<sim::LaunchConfig> cfgs(static_cast<std::size_t>(shards));
-      std::array<std::vector<std::function<void(sim::FunctionalBlockContext&)>>, 2>
-          bodies;
-      bodies[0].resize(static_cast<std::size_t>(shards));
-      bodies[1].resize(static_cast<std::size_t>(shards));
-      for (int s = 0; s < shards; ++s) {
-        const Index z0 = sp.starts[static_cast<std::size_t>(s)];
-        const Index band = sp.starts[static_cast<std::size_t>(s) + 1] - z0;
-        auto make = [&](GridView3D<const T> in, GridView3D<T> out) {
-          if (opt.t == 1) {
-            detail::Stencil3dSetup<T> st = detail::stencil3d_setup(arch, in, plan, sopt);
-            st.z_origin = z0;
-            st.z_store_lo = z0;
-            st.z_store_hi = z0 + band;
-            st.cfg.grid.z = static_cast<int>(ceil_div(band, static_cast<Index>(vp)));
-            cfgs[static_cast<std::size_t>(s)] = st.cfg;
-            return std::function<void(sim::FunctionalBlockContext&)>(
-                detail::make_stencil3d_body<T>(std::move(st), in, out));
-          }
-          detail::Temporal3DSetup<T> st =
-              detail::stencil3d_temporal_setup(arch, in, plan, topt, {z0, band});
-          cfgs[static_cast<std::size_t>(s)] = st.cfg;
-          return std::function<void(sim::FunctionalBlockContext&)>(
-              detail::make_stencil3d_temporal_body<T>(std::move(st), in, out));
-        };
-        bodies[0][static_cast<std::size_t>(s)] = make(a.cview(), b.view());
-        bodies[1][static_cast<std::size_t>(s)] = make(b.cview(), a.view());
-      }
-      for (int sw = 0; sw < sweeps; ++sw) {
-        detail::relaunch_sweep_gate(opt.cancel, -1);
-        const int parity = sw % 2;
-        sim::for_each_device(sp.devices, [&](int s) {
-          sim::detail::run_functional_grid_on(
-              sp.devices[static_cast<std::size_t>(s)]->pool(), arch,
-              cfgs[static_cast<std::size_t>(s)],
-              bodies[static_cast<std::size_t>(parity)][static_cast<std::size_t>(s)]);
-          if constexpr (kHasPost) {
-            const Index z0 = sp.starts[static_cast<std::size_t>(s)];
-            const Index band = sp.starts[static_cast<std::size_t>(s) + 1] - z0;
-            Grid3D<T>& nxt = parity == 0 ? b : a;
-            Grid3D<T>& cur = parity == 0 ? a : b;
-            post(GridView3D<T>(nxt.data() + z0 * plane, nx, ny, band),
-                 GridView3D<const T>(cur.data() + z0 * plane, nx, ny, band),
-                 aux != nullptr
-                     ? GridView3D<T>(aux->data() + z0 * plane, nx, ny, band)
-                     : GridView3D<T>{});
-          }
-        });
-      }
-      if (sweeps % 2 == 1) std::swap(a, b);
-    } else if (sweeps > 0) {
-      // Device-pinned relaunch runs fan out over `lane` (see the 2D engine).
-      auto run_sweeps = [&](const sim::LaunchConfig& cfg, auto& ping, auto& pong) {
-        const int dev = opt.device != nullptr ? opt.device->index() : -1;
-        for (int sw = 0; sw < sweeps; ++sw) {
-          detail::relaunch_sweep_gate(opt.cancel, dev);
-          if (sw % 2 == 0) {
-            sim::detail::run_functional_grid_on(lane, arch, cfg, ping);
-          } else {
-            sim::detail::run_functional_grid_on(lane, arch, cfg, pong);
-          }
-          if (opt.device != nullptr) {
-            opt.device->counters().sweeps.fetch_add(1, std::memory_order_relaxed);
-          }
-          if constexpr (kHasPost) {
-            Grid3D<T>& nxt = (sw % 2 == 0) ? b : a;
-            Grid3D<T>& cur = (sw % 2 == 0) ? a : b;
-            post(nxt.view(), cur.cview(),
-                 aux != nullptr ? aux->view() : GridView3D<T>{});
-          }
-        }
-        if (sweeps % 2 == 1) std::swap(a, b);
-      };
-      if (opt.t == 1) {
-        detail::Stencil3dSetup<T> s = detail::stencil3d_setup(arch, a.cview(), plan, sopt);
-        const sim::LaunchConfig cfg = s.cfg;
-        auto ping = detail::make_stencil3d_body<T>(s, a.cview(), b.view());
-        auto pong = detail::make_stencil3d_body<T>(std::move(s), b.cview(), a.view());
-        run_sweeps(cfg, ping, pong);
-      } else {
-        detail::Temporal3DSetup<T> s =
-            detail::stencil3d_temporal_setup(arch, a.cview(), plan, topt);
-        const sim::LaunchConfig cfg = s.cfg;
-        auto ping = detail::make_stencil3d_temporal_body<T>(s, a.cview(), b.view());
-        auto pong = detail::make_stencil3d_temporal_body<T>(std::move(s), b.cview(), a.view());
-        run_sweeps(cfg, ping, pong);
-      }
-    }
-    detail::log_policy_decision("iterate_stencil3d", opt.policy, r);
-    return r;
-  }
-
-  SSAM_REQUIRE(vp > 0, "z block too shallow for t fused steps");
-  detail::BandLayoutRequest req;
-  req.units = nz;
-  req.unit_elems = plane;
-  req.elem_bytes = sizeof(T);
-  req.ht = hz;
-  req.hb = hz;
-  req.align = align3;
-  req.min_band = std::max<Index>(hz, 1);
-  req.want_tiles = opt.tiles;
-  req.sweeps = sweeps;
-  req.has_aux = aux != nullptr;
-  req.lane_workers = opt.device != nullptr ? opt.device->pool().size() : 0;
-  sim::PersistentWorkspace& wsp = ws != nullptr ? *ws : detail::default_workspace();
-  const detail::BandLayout L = detail::build_band_layout(req, opt.shard, wsp);
-  const int tiles = L.tiles();
-  detail::note_layout(r, L);
-  detail::log_policy_decision("iterate_stencil3d", opt.policy, r);
-  if (sweeps == 0) return r;
-  const std::vector<Index>& starts = L.starts;
-
-  detail::RunControl ctl;
-  ctl.cancel = opt.cancel;
-  ctl.device = opt.device != nullptr ? opt.device->index() : -1;
-  ctl.faults = FaultInjector::global().enabled();
-
-  std::vector<std::unique_ptr<detail::ResidentBandTile<T>>> tile_objs;
-  tile_objs.reserve(static_cast<std::size_t>(tiles));
-  for (int i = 0; i < tiles; ++i) {
-    const Index z0 = starts[static_cast<std::size_t>(i)];
-    const Index band = starts[static_cast<std::size_t>(i) + 1] - z0;
-    const Index buf_planes = band + 2 * hz;
-    typename detail::ResidentBandTile<T>::Wiring wr;
-    wr.arch = &arch;
-    wr.src = a.data();
-    wr.dst = a.data();
-    wr.unit_elems = plane;
-    wr.band = band;
-    wr.ht = hz;
-    wr.hb = hz;
-    wr.u0 = z0;
-    wr.sweeps = sweeps;
-    wr.attach(L, i, opt.device);
-    if (aux != nullptr) wr.aux_global = aux->data();
-    wr.control = &ctl;
-
-    const GridView3D<const T> in_a(wr.buf_a, nx, ny, buf_planes);
-    const GridView3D<const T> in_b(wr.buf_b, nx, ny, buf_planes);
-    const GridView3D<T> out_a(wr.buf_a, nx, ny, buf_planes);
-    const GridView3D<T> out_b(wr.buf_b, nx, ny, buf_planes);
-    const GridView3D<T> out_global = a.view();
-    const int last_parity = (sweeps - 1) % 2;
-    // The z-window stores only the band planes; the target buffer's halo
-    // planes are filled by the next exchange. `z0_load` positions the
-    // window in the input array (buffer: hz, global: z0); `store_off`
-    // relocates the store into the other array for the fused sweeps.
-    auto make_body = [&](Index z0_load, Index store_off, GridView3D<const T> in,
-                         GridView3D<T> out) {
-      if (opt.t == 1) {
-        detail::Stencil3dSetup<T> s = detail::stencil3d_setup(arch, in, plan, sopt);
-        s.z_origin = z0_load;
-        s.z_store_lo = z0_load;
-        s.z_store_hi = z0_load + band;
-        s.z_store_offset = store_off;
-        s.cfg.grid.z = static_cast<int>(ceil_div(band, static_cast<Index>(vp)));
-        wr.cfg = s.cfg;
-        return std::function<void(sim::FunctionalBlockContext&)>(
-            detail::make_stencil3d_body<T>(std::move(s), in, out));
-      }
-      detail::Temporal3DSetup<T> s =
-          detail::stencil3d_temporal_setup(arch, in, plan, topt, {z0_load, band});
-      s.z_store_offset = store_off;
-      wr.cfg = s.cfg;
-      return std::function<void(sim::FunctionalBlockContext&)>(
-          detail::make_stencil3d_temporal_body<T>(std::move(s), in, out));
-    };
-    wr.sweep[0] = make_body(hz, 0, in_a, out_b);
-    wr.sweep[1] = make_body(hz, 0, in_b, out_a);
-    if constexpr (!kHasPost) {
-      // Fused boundary sweeps from sweeps >= 2 (ordering: see the 2D engine).
-      if (sweeps >= 2) {
-        wr.sweep_first = make_body(z0, hz - z0, a.cview(), out_b);
-      }
-      wr.sweep_last = make_body(hz, z0 - hz, last_parity == 0 ? in_a : in_b, out_global);
-    }
-    if constexpr (kHasPost) {
-      wr.post = [post, nx, ny, band](T* nb, const T* cb, T* ab) {
-        post(GridView3D<T>(nb, nx, ny, band), GridView3D<const T>(cb, nx, ny, band),
-             GridView3D<T>(ab, nx, ny, ab != nullptr ? band : 0));
-      };
-    }
-    tile_objs.push_back(std::make_unique<detail::ResidentBandTile<T>>(std::move(wr)));
-  }
-
-  detail::run_band_tiles(L, tile_objs, lane, ctl);
-  return r;
+  return detail::iterate_bands<T>("iterate_stencil3d", arch, g, a, b, sweeps, opt, sweep, post,
+                                  aux, ws, r);
 }
+
 
 /// Sharded variant of the per-step relaunch drivers (core/iterate.hpp):
 /// the same double-buffered step schedule, with each sweep's band launches

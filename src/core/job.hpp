@@ -17,9 +17,11 @@
 // and untouched until the job's `JobFuture` reports completion.
 #pragma once
 
+#include <algorithm>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
+#include <initializer_list>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -35,6 +37,7 @@
 #include "core/iterate_persistent.hpp"
 #include "core/stencil_shape.hpp"
 #include "gpusim/device.hpp"
+#include "perfmodel/latency_model.hpp"
 
 namespace ssam::core {
 
@@ -171,14 +174,52 @@ struct SimJob {
     }
     return 0;
   }
-
-  /// Total work estimate (cells x sweeps), the fair-queuing cost unit.
-  [[nodiscard]] double cost() const {
-    const Index c = cells();
-    const int s = steps < 1 ? 1 : steps;
-    return static_cast<double>(c) * static_cast<double>(s);
-  }
 };
+
+/// The one job price, in latency-model units: cells x the per-element
+/// latency (Equation 4, sparse-generalized) of every time step the job
+/// runs. The kernels execute exactly the taps a shape names, so those taps
+/// are charged, not the bounding-box product; the shuffle term follows the
+/// horizontal tap extent (the register-cache walk moves along x). A stencil
+/// job runs steps x hints.t time steps; a chain runs each stage once, t
+/// fused applications deep, a dual stage walking both tap sets over one
+/// register-cache load; a convolution is one launch. The server's
+/// fair-queuing tags and shed prediction and the tuner's compute term all
+/// use this price.
+[[nodiscard]] inline double job_units(const SimJob& job, const perf::MicroLatencies& lat) {
+  auto walk = [&lat](std::initializer_list<const StencilShape<float>*> shapes) {
+    int taps = 0;
+    int dx0 = 0, dx1 = 0;
+    for (const StencilShape<float>* shape : shapes) {
+      for (const auto& t : shape->taps) {
+        dx0 = std::min(dx0, t.dx);
+        dx1 = std::max(dx1, t.dx);
+      }
+      taps += static_cast<int>(shape->taps.size());
+    }
+    return perf::latency_ssam_taps(std::max(taps, 1), dx1 - dx0 + 1, lat);
+  };
+  double per_elem = 0.0;
+  switch (job.kind) {
+    case JobKind::kConv2D: {
+      const int m = std::max(1, job.filter_m);
+      per_elem = perf::latency_ssam_taps(m * std::max(1, job.filter_n), m, lat);
+      break;
+    }
+    case JobKind::kChain:
+      for (const ChainStage<float>& st : job.stages) {
+        per_elem += (st.dual() ? walk({&st.shape, &st.shape_b}) : walk({&st.shape})) *
+                    static_cast<double>(std::max(1, st.t));
+      }
+      break;
+    case JobKind::kStencil2D:
+    case JobKind::kStencil3D:
+      per_elem = walk({&job.shape}) * static_cast<double>(std::max(1, job.steps)) *
+                 static_cast<double>(std::max(1, job.hints.t));
+      break;
+  }
+  return per_elem * static_cast<double>(job.cells());
+}
 
 enum class JobStatus {
   kPending,    ///< not finished yet (never visible through a fulfilled future)

@@ -43,7 +43,7 @@ struct SimServer::Pending {
   SimJob job;
   std::shared_ptr<detail::JobState> state;
   double start_tag = 0.0;   ///< SFQ start tag; vtime advances here on dispatch
-  double finish_tag = 0.0;  ///< start + cost/effective-weight; dispatch order key
+  double finish_tag = 0.0;  ///< start + units/effective-weight; dispatch order key
   double units = 0.0;       ///< latency-model work units (shed/EWMA x-axis)
   Clock::time_point submitted_at;
   Clock::time_point deadline{};  ///< valid when has_deadline
@@ -117,45 +117,6 @@ SimServer::~SimServer() {
   drain();
 }
 
-double SimServer::model_units(const SimJob& job) const {
-  // Per-element SSAM latency (Equation 4, sparse-generalized): the kernels
-  // execute exactly the taps the shape names, so the model charges those
-  // taps — not the bounding-box product, which over-priced star stencils
-  // 2-3x against dense filters and skewed the shared shed EWMA. The shuffle
-  // term follows the HORIZONTAL extent (m in Eq. 4 / conv2d_setup terms):
-  // the register-cache walk moves along x.
-  const perf::MicroLatencies lat = perf::from_arch(*arch_);
-  auto stencil_elem = [&](std::initializer_list<const StencilShape<float>*> shapes) {
-    int taps = 0;
-    int dx0 = 0, dx1 = 0;
-    for (const StencilShape<float>* shape : shapes) {
-      for (const auto& t : shape->taps) {
-        dx0 = std::min(dx0, t.dx);
-        dx1 = std::max(dx1, t.dx);
-      }
-      taps += static_cast<int>(shape->taps.size());
-    }
-    return perf::latency_ssam_taps(std::max(taps, 1), dx1 - dx0 + 1, lat);
-  };
-  double per_elem = 0.0;  // summed over every sweep the job runs
-  if (job.kind == JobKind::kConv2D) {
-    const int mx = std::max(1, job.filter_m);
-    per_elem = perf::latency_ssam_taps(mx * std::max(1, job.filter_n), mx, lat) *
-               static_cast<double>(std::max(1, job.steps));
-  } else if (job.kind == JobKind::kChain) {
-    // Each stage runs once with its own taps, t fused applications deep; a
-    // dual stage walks both tap sets over one register-cache load.
-    for (const ChainStage<float>& st : job.stages) {
-      per_elem += (st.dual() ? stencil_elem({&st.shape, &st.shape_b})
-                             : stencil_elem({&st.shape})) *
-                  static_cast<double>(std::max(1, st.t));
-    }
-  } else {
-    per_elem = stencil_elem({&job.shape}) * static_cast<double>(std::max(1, job.steps));
-  }
-  return per_elem * static_cast<double>(job.cells());
-}
-
 JobFuture SimServer::submit(SimJob job) {
   auto state = std::make_shared<detail::JobState>();
   // Every accepted job gets a live token (the future's cancel() handle);
@@ -182,6 +143,9 @@ JobFuture SimServer::submit(SimJob job) {
     if (src != nullptr) snap = std::make_shared<std::vector<float>>(src, src + count);
   }
 
+  // The job's price: fair-queuing cost, shed prediction and the EWMA's
+  // x-axis alike.
+  const double units = job_units(job, perf::from_arch(*arch_));
   bool reject = false;
   JobError reject_err;
   {
@@ -201,7 +165,7 @@ JobFuture SimServer::submit(SimJob job) {
       const double scale = opt_.shed_calibration_ms_per_unit > 0.0
                                ? opt_.shed_calibration_ms_per_unit
                                : ewma_ms_per_unit_;
-      const double predicted = scale * model_units(job);
+      const double predicted = scale * units;
       if (scale > 0.0 && predicted > job.deadline_ms) {
         ++rejected_;
         ++shed_;
@@ -215,15 +179,15 @@ JobFuture SimServer::submit(SimJob job) {
     if (!reject) {
       Tenant& t = tenants_[job.tenant];
       // Start-time fair queuing: the job's virtual finish time advances
-      // the tenant's clock by cost over effective weight; priority buys a
-      // larger share of the tenant's own weight.
+      // the tenant's clock by its price over effective weight; priority
+      // buys a larger share of the tenant's own weight.
       const double w = t.weight * (1.0 + static_cast<double>(std::max(0, job.priority)));
       const double start = std::max(vtime_, t.last_finish);
       Pending p;
       p.start_tag = start;
-      p.finish_tag = start + job.cost() / std::max(w, 1e-9);
+      p.finish_tag = start + units / std::max(w, 1e-9);
       t.last_finish = p.finish_tag;
-      p.units = model_units(job);
+      p.units = units;
       p.submitted_at = Clock::now();
       if (job.deadline_ms > 0.0) {
         p.has_deadline = true;

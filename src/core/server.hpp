@@ -185,11 +185,6 @@ class SimServer {
   };
   [[nodiscard]] DeviceHealth device_health(int device) const;
 
-  /// Latency-model work units of a job (perfmodel/latency_model.hpp per-
-  /// element latency x cells, summed over the sweeps it runs; a chain sums
-  /// its stages) — the shed predictor's x-axis.
-  [[nodiscard]] double model_units(const SimJob& job) const;
-
   /// The resolved process config the server was built against.
   [[nodiscard]] const SimConfig& config() const { return config_; }
   [[nodiscard]] const sim::ArchSpec& arch() const { return *arch_; }

@@ -20,6 +20,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "common/grid.hpp"
@@ -30,6 +31,7 @@
 #include "core/stencil2d_temporal.hpp"
 #include "core/stencil3d_temporal.hpp"
 #include "gpusim/arch.hpp"
+#include "gpusim/device.hpp"
 #include "gpusim/persistent.hpp"
 #include "test_util.hpp"
 
@@ -256,6 +258,61 @@ TEST(PersistentPolicy, RelaunchFallbackAndAutoReporting) {
   const auto auto2 =
       core::iterate_stencil2d_persistent<float>(sim::tesla_v100(), aa, ab, shape, 2);
   EXPECT_TRUE(auto2.persistent);
+
+  // Zero sweeps, 2D and 3D, under both policies, single and sharded(2):
+  // nothing runs and `a` is untouched, yet the stats still report what the
+  // run resolved to (a persistent run lays out its tiles and ring first).
+  sim::DeviceGroup group(
+      {sim::DeviceOptions{1, {}, "zero0"}, sim::DeviceOptions{1, {}, "zero1"}});
+  Grid3D<float> src3(24, 20, 30);
+  fill_random(src3, 48);
+  const core::StencilShape<float> shape3 = core::star3d<float>(1);
+  struct Expect {
+    int tiles, devices, ring_slots;
+    std::size_t residence_bytes;
+  };
+  // [dims - 2][policy: relaunch, persistent][shard: single, sharded(2)]
+  const Expect expect[2][2][2] = {
+      {{{1, 1, 0, 0}, {1, 2, 0, 0}}, {{3, 1, 3, 135416}, {4, 2, 2, 149960}}},
+      {{{1, 1, 0, 0}, {1, 2, 0, 0}}, {{3, 1, 3, 167360}, {4, 2, 2, 187520}}},
+  };
+  for (int dims : {2, 3}) {
+    for (int pol = 0; pol < 2; ++pol) {
+      for (int sh = 0; sh < 2; ++sh) {
+        core::PersistentOptions opt;
+        opt.policy = pol == 0 ? core::IterationPolicy::kRelaunch
+                              : core::IterationPolicy::kPersistent;
+        opt.tiles = 4;
+        if (sh == 1) opt.shard = core::ShardPolicy::sharded(2, &group);
+        core::PersistentRunStats st;
+        bool untouched = false;
+        if (dims == 2) {
+          Grid2D<float> a = src, b(src.width(), src.height());
+          st = core::iterate_stencil2d_persistent<float>(sim::tesla_v100(), a, b, shape, 0,
+                                                         opt);
+          untouched = 0 == std::memcmp(a.data(), src.data(),
+                                       static_cast<std::size_t>(src.size()) * sizeof(float));
+        } else {
+          Grid3D<float> a = src3, b(src3.nx(), src3.ny(), src3.nz());
+          st = core::iterate_stencil3d_persistent<float>(sim::tesla_v100(), a, b, shape3, 0,
+                                                         opt);
+          untouched = 0 == std::memcmp(a.data(), src3.data(),
+                                       static_cast<std::size_t>(src3.size()) * sizeof(float));
+        }
+        const Expect& e = expect[dims - 2][pol][sh];
+        const std::string at = std::to_string(dims) + "D policy " + std::to_string(pol) +
+                               " shard " + std::to_string(sh);
+        EXPECT_TRUE(untouched) << at;
+        EXPECT_EQ(st.sweeps, 0) << at;
+        EXPECT_EQ(st.persistent, pol == 1) << at;
+        EXPECT_EQ(st.sharded, sh == 1) << at;
+        EXPECT_EQ(st.tiles, e.tiles) << at;
+        EXPECT_EQ(st.devices, e.devices) << at;
+        EXPECT_EQ(st.ring_slots, e.ring_slots) << at;
+        EXPECT_EQ(st.residence_bytes, e.residence_bytes) << at;
+      }
+    }
+  }
 }
 
 // ------------------------------------------------------- post hook and aux
@@ -346,15 +403,30 @@ TEST(PersistentPostHook, Wave3DMatchesExplicitStepLoop) {
       }
     }
   };
-  Grid3D<float> scratch(n, n, n);
-  core::PersistentOptions opt;
-  opt.policy = core::IterationPolicy::kPersistent;
-  opt.tiles = 4;
-  core::iterate_stencil3d_persistent<float>(sim::tesla_v100(), p, scratch, laplace, steps,
-                                            opt, wave, &prev);
+  // Every path of the engine: per-step relaunch and resident tiles, each on
+  // one pool and sharded over two devices (the relaunch hook then runs per
+  // shard band).
+  sim::DeviceGroup group(
+      {sim::DeviceOptions{1, {}, "wave0"}, sim::DeviceOptions{1, {}, "wave1"}});
   const std::size_t bytes = static_cast<std::size_t>(p.size()) * sizeof(float);
-  EXPECT_EQ(0, std::memcmp(p.data(), rp.data(), bytes));
-  EXPECT_EQ(0, std::memcmp(prev.data(), rprev.data(), bytes));
+  for (const core::IterationPolicy policy :
+       {core::IterationPolicy::kRelaunch, core::IterationPolicy::kPersistent}) {
+    for (const bool sharded : {false, true}) {
+      Grid3D<float> q = p, qprev = prev, scratch(n, n, n);
+      core::PersistentOptions opt;
+      opt.policy = policy;
+      opt.tiles = 4;
+      if (sharded) opt.shard = core::ShardPolicy::sharded(2, &group);
+      const auto st = core::iterate_stencil3d_persistent<float>(
+          sim::tesla_v100(), q, scratch, laplace, steps, opt, wave, &qprev);
+      const std::string at = std::string(st.persistent ? "persistent" : "relaunch") +
+                             (st.sharded ? ", sharded(2)" : ", single");
+      EXPECT_EQ(st.persistent, policy == core::IterationPolicy::kPersistent) << at;
+      EXPECT_EQ(st.sharded, sharded) << at;
+      EXPECT_EQ(0, std::memcmp(q.data(), rp.data(), bytes)) << at;
+      EXPECT_EQ(0, std::memcmp(qprev.data(), rprev.data(), bytes)) << at;
+    }
+  }
 }
 
 // ------------------------------------------------------------- workspace

@@ -13,9 +13,12 @@
 //  * workspace leases come back warm (no new arenas after the first wave);
 //  * invalid jobs fail their future with an error instead of killing the
 //    server; the resolved SimConfig is printable;
-//  * a chain is priced as the sum of its stages.
+//  * one price (core::job_units) for queuing and shedding: a chain is the
+//    sum of its stages, a t-step sweep costs t sweeps, and fair queuing
+//    shares the server by that price, not by cell count.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <deque>
@@ -30,6 +33,7 @@
 #include "core/server.hpp"
 #include "core/stencil_shape.hpp"
 #include "gpusim/arch.hpp"
+#include "perfmodel/latency_model.hpp"
 #include "test_util.hpp"
 
 namespace {
@@ -404,10 +408,8 @@ TEST(SimServerTest, InvalidJobFailsItsFutureNotTheServer) {
 // --------------------------------------------------------------- job pricing
 
 TEST(SimServerTest, ChainPriceIsTheSumOfItsStages) {
-  sim::DeviceGroup group({sim::DeviceOptions{1, {}, "price0"}});
-  core::ServerOptions so;
-  so.group = &group;
-  core::SimServer server(so);
+  const perf::MicroLatencies lat = perf::from_arch(sim::tesla_v100());
+  auto price = [&](const core::SimJob& j) { return core::job_units(j, lat); };
   Grid2D<float> a(96, 64), b(96, 64);
   const core::StencilShape<float> star1 = core::star2d<float>(1);
   const core::StencilShape<float> star2 = core::star2d<float>(2);
@@ -422,13 +424,72 @@ TEST(SimServerTest, ChainPriceIsTheSumOfItsStages) {
   // stage's t as its sweeps, a dual stage as one stencil over both tap sets.
   core::StencilShape<float> both = box5;
   both.taps.insert(both.taps.end(), star2.taps.begin(), star2.taps.end());
-  const double sum = server.model_units(core::SimJob::stencil2d(a, b, star1, 1)) +
-                     server.model_units(core::SimJob::stencil2d(a, b, star1, 3)) +
-                     server.model_units(core::SimJob::stencil2d(a, b, both, 1));
-  const double chain = server.model_units(core::SimJob::chain2d(a, b, stages));
+  const double sum = price(core::SimJob::stencil2d(a, b, star1, 1)) +
+                     price(core::SimJob::stencil2d(a, b, star1, 3)) +
+                     price(core::SimJob::stencil2d(a, b, both, 1));
+  const double chain = price(core::SimJob::chain2d(a, b, stages));
   EXPECT_DOUBLE_EQ(chain, sum);
   // Not the front stage's taps times the depth.
-  EXPECT_GT(chain, server.model_units(core::SimJob::stencil2d(a, b, star1, 3)));
+  EXPECT_GT(chain, price(core::SimJob::stencil2d(a, b, star1, 3)));
+  // A sweep of t fused steps costs t plain sweeps.
+  core::JobHints t3;
+  t3.t = 3;
+  EXPECT_DOUBLE_EQ(price(core::SimJob::stencil2d(a, b, star1, 1, t3)),
+                   price(core::SimJob::stencil2d(a, b, star1, 3)));
+}
+
+TEST(SimServerTest, FairShareFollowsThePriceNotTheCellCount) {
+  // Two equal-weight tenants on one slot (completion order == dispatch
+  // order): tenant 0 submits 17x17 convolutions, tenant 1 star-1 stencil
+  // sweeps over the same cell count. A conv job prices dozens of star jobs, so
+  // the star tenant's whole backlog is worth less than one conv job and
+  // finishes before the conv tenant's second job. Charging cells x steps
+  // instead would alternate the two tenants job for job.
+  sim::DeviceGroup group({sim::DeviceOptions{1, {}, "share0"}});
+  core::ServerOptions so;
+  so.group = &group;
+  so.streams_per_device = 1;
+  so.max_in_flight_per_device = 1;
+  so.start_paused = true;
+  core::SimServer server(so);
+
+  const int kConv = 4;
+  const int kStar = 12;
+  const std::vector<float> filter(17 * 17, 1.0f / (17 * 17));
+  const core::StencilShape<float> star1 = core::star2d<float>(1);
+  std::deque<Grid2D<float>> grids;
+  auto grid = [&](int seed) -> Grid2D<float>& {
+    grids.emplace_back(48, 40);
+    fill_random(grids.back(), seed);
+    return grids.back();
+  };
+  std::vector<core::JobFuture> conv, star;
+  for (int i = 0; i < kConv; ++i) {
+    Grid2D<float>& in = grid(70 + i);
+    core::SimJob j = core::SimJob::conv2d(in, grid(0), filter, 17, 17);
+    j.tenant = 0;
+    conv.push_back(server.submit(j));
+  }
+  for (int i = 0; i < kStar; ++i) {
+    Grid2D<float>& a = grid(90 + i);
+    core::SimJob j = core::SimJob::stencil2d(a, grid(0), star1, 1);
+    j.tenant = 1;
+    star.push_back(server.submit(j));
+  }
+  server.drain();
+
+  std::vector<std::uint64_t> conv_seq, star_seq;
+  for (const auto& f : conv) {
+    ASSERT_EQ(f.wait().status, core::JobStatus::kCompleted) << f.wait().error;
+    conv_seq.push_back(f.wait().seq);
+  }
+  for (const auto& f : star) {
+    ASSERT_EQ(f.wait().status, core::JobStatus::kCompleted) << f.wait().error;
+    star_seq.push_back(f.wait().seq);
+  }
+  std::sort(conv_seq.begin(), conv_seq.end());
+  const std::uint64_t last_star = *std::max_element(star_seq.begin(), star_seq.end());
+  EXPECT_LT(last_star, conv_seq[1]) << "the star tenant lost its unit-weighted share";
 }
 
 // ----------------------------------------------------------------- SimConfig
