@@ -7,6 +7,7 @@
 // kernel) directly. Timing mode stays a direct kernel call: it estimates
 // what the kernel would cost on a real P100/V100.
 #include <iostream>
+#include <string>
 
 #include "common/grid.hpp"
 #include "common/rng.hpp"
@@ -45,7 +46,10 @@ int main() {
   // cache (`SSAM_TUNE_CACHE`, default ~/.cache/ssam/). The first run on a
   // host measures a few candidates; every later run is a cache hit with zero
   // measurements — and the tuned output is bit-identical to the default
-  // schedule's, because only bit-safe knobs are tuned.
+  // schedule's, because only bit-safe knobs are tuned. So the printed
+  // `origin` depends on that per-host file, which every build tree and every
+  // binary on the host shares: `measured` on a fresh file, `cache-hit` once
+  // anything tuned this key. The line names the file it used (`off`: none).
   Grid2D<float> heat(512, 512), scratch(512, 512);
   fill_random(heat, /*seed=*/2, 0.0, 1.0);
   core::JobHints hints;
@@ -55,8 +59,10 @@ int main() {
   const core::TuneResult tuned =
       core::AutoTuner::global().resolve(sim::tesla_v100(), tuned_job);
   (void)core::run_job(sim::tesla_v100(), tuned_job);
+  const std::string cache = core::AutoTuner::resolve_cache_path(core::TunerOptions{});
   std::cout << "autotuned 16-step star-1 stencil: origin="
-            << core::tune_origin_name(tuned.origin) << ", schedule ["
+            << core::tune_origin_name(tuned.origin)
+            << ", cache=" << (cache.empty() ? "off" : cache) << ", schedule ["
             << tuned.schedule.describe() << "]\n";
 
   // Timing run: sampled blocks + scoreboard -> estimated V100 runtime.

@@ -7,16 +7,41 @@
 
 #include <algorithm>
 #include <cstddef>
-#include <vector>
+#include <initializer_list>
+#include <limits>
+#include <string>
 
 #include "common/error.hpp"
 #include "common/types.hpp"
+#include "common/zeroed_array.hpp"
 
 namespace ssam {
 
 namespace detail {
 [[nodiscard]] constexpr Index clamp_index(Index v, Index n) {
   return v < 0 ? 0 : (v >= n ? n - 1 : v);
+}
+
+/// Element count of a grid of `extents`, checked before anything is
+/// allocated: every extent must be positive, and the element and byte
+/// counts must fit Index (so they fit size_t too).
+template <typename T>
+[[nodiscard]] std::size_t grid_elems(std::initializer_list<Index> extents) {
+  auto named = [&] {
+    std::string s;
+    for (Index e : extents) s += (s.empty() ? "" : " x ") + std::to_string(e);
+    return s;
+  };
+  for (Index e : extents) SSAM_REQUIRE(e > 0, "grid extents must be positive, got " + named());
+  Index n = 1;
+  for (Index e : extents) {
+    SSAM_REQUIRE(n <= std::numeric_limits<Index>::max() / e,
+                 "grid of " + named() + " elements overflows the element count");
+    n *= e;
+  }
+  SSAM_REQUIRE(n <= std::numeric_limits<Index>::max() / static_cast<Index>(sizeof(T)),
+               "grid of " + named() + " elements overflows the byte count");
+  return static_cast<std::size_t>(n);
 }
 }  // namespace detail
 
@@ -97,15 +122,17 @@ class GridView3D {
   Index nz_ = 0;
 };
 
-/// Owning 2D grid.
+/// Owning 2D grid. A fresh grid holds `value` in every cell; its storage
+/// is zeroed on allocation (common/zeroed_array.hpp), so a value whose bits
+/// are all zero costs no write. Copies are deep.
 template <typename T>
 class Grid2D {
  public:
   Grid2D() = default;
-  Grid2D(Index width, Index height, T fill = T{})
+  Grid2D(Index width, Index height, T value = T{})
       : width_(width), height_(height),
-        storage_(static_cast<std::size_t>(width * height), fill) {
-    SSAM_REQUIRE(width > 0 && height > 0, "grid extents must be positive");
+        storage_(detail::grid_elems<T>({width, height})) {
+    if (!all_zero_bits(value)) fill(value);
   }
 
   [[nodiscard]] Index width() const { return width_; }
@@ -128,23 +155,22 @@ class Grid2D {
     return {storage_.data(), width_, height_, width_};
   }
 
-  void fill(T v) { std::fill(storage_.begin(), storage_.end(), v); }
+  void fill(T v) { std::fill(storage_.data(), storage_.data() + storage_.size(), v); }
 
  private:
   Index width_ = 0;
   Index height_ = 0;
-  std::vector<T> storage_;
+  ZeroedArray<T> storage_;
 };
 
-/// Owning 3D grid.
+/// Owning 3D grid, with Grid2D's storage contract.
 template <typename T>
 class Grid3D {
  public:
   Grid3D() = default;
-  Grid3D(Index nx, Index ny, Index nz, T fill = T{})
-      : nx_(nx), ny_(ny), nz_(nz),
-        storage_(static_cast<std::size_t>(nx * ny * nz), fill) {
-    SSAM_REQUIRE(nx > 0 && ny > 0 && nz > 0, "grid extents must be positive");
+  Grid3D(Index nx, Index ny, Index nz, T value = T{})
+      : nx_(nx), ny_(ny), nz_(nz), storage_(detail::grid_elems<T>({nx, ny, nz})) {
+    if (!all_zero_bits(value)) fill(value);
   }
 
   [[nodiscard]] Index nx() const { return nx_; }
@@ -166,13 +192,13 @@ class Grid3D {
   /// Read-only view regardless of this grid's constness.
   [[nodiscard]] GridView3D<const T> cview() const { return {storage_.data(), nx_, ny_, nz_}; }
 
-  void fill(T v) { std::fill(storage_.begin(), storage_.end(), v); }
+  void fill(T v) { std::fill(storage_.data(), storage_.data() + storage_.size(), v); }
 
  private:
   Index nx_ = 0;
   Index ny_ = 0;
   Index nz_ = 0;
-  std::vector<T> storage_;
+  ZeroedArray<T> storage_;
 };
 
 }  // namespace ssam

@@ -26,10 +26,13 @@ void HaloChannel::configure_external(std::byte* dst_even, std::byte* dst_odd) {
   released_.store(-1, std::memory_order_relaxed);
 }
 
-std::byte* PersistentWorkspace::aligned_block(std::vector<std::byte>& block,
+std::byte* PersistentWorkspace::aligned_block(ZeroedArray<std::byte>& block,
                                               std::size_t bytes) {
   constexpr std::size_t kAlign = 64;
-  if (block.size() < bytes + kAlign) block.resize(bytes + kAlign);
+  if (block.size() < bytes + kAlign) {
+    block = {};  // release the old block before the larger one is mapped
+    block = ZeroedArray<std::byte>(bytes + kAlign);
+  }
   auto addr = reinterpret_cast<std::uintptr_t>(block.data());
   const std::size_t pad = (kAlign - addr % kAlign) % kAlign;
   return block.data() + pad;

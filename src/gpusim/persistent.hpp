@@ -36,6 +36,7 @@
 
 #include "common/error.hpp"
 #include "common/thread_pool.hpp"
+#include "common/zeroed_array.hpp"
 #include "gpusim/launch.hpp"
 
 namespace ssam::sim {
@@ -188,8 +189,12 @@ void run_persistent_on(ThreadPool& pool, std::span<PersistentTask* const> tasks,
 /// arena for tile residency buffers plus a pool of halo channels. Repeated
 /// runs of the same problem (benchmark reps, iterative solvers called in a
 /// loop) reuse the same allocations instead of churning the allocator.
-/// Not thread-safe: one workspace serves one run at a time (the engine's
-/// default workspace is thread_local).
+/// A block that grows is replaced by a fresh zeroed one (no copy, no
+/// memset of a large block), so each tile's owner faults in its own ring
+/// slot. A reused block still holds the previous run's bytes, and no run
+/// reads a residence byte before writing it. Not thread-safe: one
+/// workspace serves one run at a time (the engine's default workspace is
+/// thread_local).
 class PersistentWorkspace {
  public:
   /// Arena pointer with room for `bytes`, 64-byte aligned. Reuses the
@@ -209,11 +214,11 @@ class PersistentWorkspace {
   [[nodiscard]] std::byte* scratch(std::size_t bytes);
 
  private:
-  [[nodiscard]] static std::byte* aligned_block(std::vector<std::byte>& block,
+  [[nodiscard]] static std::byte* aligned_block(ZeroedArray<std::byte>& block,
                                                 std::size_t bytes);
 
-  std::vector<std::byte> arena_;
-  std::vector<std::byte> scratch_;
+  ZeroedArray<std::byte> arena_;
+  ZeroedArray<std::byte> scratch_;
   std::vector<HaloChannel> channels_;
 };
 

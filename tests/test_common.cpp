@@ -1,10 +1,16 @@
-// Common utilities: grids/views/border policy, RNG determinism, stats,
-// tables, paper-data registry consistency.
+// Common utilities: grids/views/border policy, the grid storage contract
+// (extent checks, zeroed allocation, bit-exact fills, deep copies), RNG
+// determinism, stats, tables, paper-data registry consistency.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <optional>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "common/grid.hpp"
 #include "core/config.hpp"
@@ -53,6 +59,133 @@ TEST(Grid3D, SliceSharesStorage) {
 TEST(Grid, RejectsEmptyExtents) {
   EXPECT_THROW(Grid2D<int>(0, 5), PreconditionError);
   EXPECT_THROW((Grid3D<int>(4, 0, 4)), PreconditionError);
+}
+
+/// The message of the PreconditionError `make` throws; fails the test when
+/// it throws nothing or something else.
+template <typename Make>
+std::string precondition_message(Make&& make) {
+  try {
+    make();
+  } catch (const PreconditionError& e) {
+    return e.what();
+  } catch (...) {
+    ADD_FAILURE() << "threw something other than PreconditionError";
+    return {};
+  }
+  ADD_FAILURE() << "did not throw";
+  return {};
+}
+
+TEST(Grid, RejectsNegativeExtentsBeforeAllocating) {
+  EXPECT_NE(precondition_message([] { Grid2D<float>(-1, 5); }).find("-1 x 5"),
+            std::string::npos);
+  EXPECT_NE(precondition_message([] { Grid3D<float>(4, -2, 3); }).find("4 x -2 x 3"),
+            std::string::npos);
+}
+
+TEST(Grid, RejectsElementAndByteCountsThatOverflow) {
+  // 2^70 cells: the element count overflows Index (it used to wrap to 0).
+  const std::string cells =
+      precondition_message([] { Grid2D<float>(Index{1} << 40, Index{1} << 30); });
+  EXPECT_NE(cells.find("1099511627776 x 1073741824"), std::string::npos) << cells;
+  EXPECT_NE(cells.find("element count"), std::string::npos) << cells;
+  EXPECT_NE(precondition_message([] {
+              Grid3D<float>(Index{1} << 21, Index{1} << 21, Index{1} << 22);
+            }).find("element count"),
+            std::string::npos);
+  // 2^62 cells fit Index, but 2^64 bytes fit neither Index nor size_t.
+  EXPECT_NE(precondition_message([] {
+              Grid2D<float>(Index{1} << 31, Index{1} << 31);
+            }).find("byte count"),
+            std::string::npos);
+  EXPECT_NE(precondition_message([] {
+              Grid3D<double>(Index{1} << 20, Index{1} << 20, Index{1} << 21);
+            }).find("byte count"),
+            std::string::npos);
+}
+
+/// True when the `bytes` bytes at `p` are all zero.
+bool zero_bytes(const void* p, std::size_t bytes) {
+  const auto* b = static_cast<const unsigned char*>(p);
+  return std::all_of(b, b + bytes, [](unsigned char c) { return c == 0; });
+}
+
+TEST(GridStorage, FreshGridsReadAllZeroBits) {
+  const Grid2D<float> small2(7, 5);
+  const Grid3D<double> small3(3, 4, 5);
+  EXPECT_TRUE(zero_bytes(small2.data(), 7 * 5 * sizeof(float)));
+  EXPECT_TRUE(zero_bytes(small3.data(), 3 * 4 * 5 * sizeof(double)));
+  // 64 MiB each: far above the allocator's mmap threshold. A block that
+  // was just freed dirty must come back zeroed too.
+  constexpr std::size_t kBytes = std::size_t{64} << 20;
+  for (int round = 0; round < 2; ++round) {
+    SCOPED_TRACE("round " + std::to_string(round));
+    Grid2D<float> big2(4096, 4096);
+    EXPECT_TRUE(zero_bytes(big2.data(), kBytes));
+    big2.fill(1.0f);
+    Grid3D<float> big3(256, 256, 256);
+    EXPECT_TRUE(zero_bytes(big3.data(), kBytes));
+    big3.fill(-3.0f);
+  }
+}
+
+TEST(GridStorage, FillValuesAreKeptBitForBit) {
+  const std::uint32_t kNaN = 0x7fc0'1234u;  // a quiet NaN with a payload
+  float nan = 0.0f;
+  std::memcpy(&nan, &kNaN, sizeof(float));
+  for (const float v : {-0.0f, nan}) {
+    std::uint32_t want = 0;
+    std::memcpy(&want, &v, sizeof(float));
+    const Grid2D<float> g2(9, 4, v);
+    const Grid3D<float> g3(3, 5, 2, v);
+    for (Index i = 0; i < g2.size(); ++i) {
+      std::uint32_t got = 0;
+      std::memcpy(&got, g2.data() + i, sizeof(float));
+      ASSERT_EQ(got, want) << "2D cell " << i;
+    }
+    for (Index i = 0; i < g3.size(); ++i) {
+      std::uint32_t got = 0;
+      std::memcpy(&got, g3.data() + i, sizeof(float));
+      ASSERT_EQ(got, want) << "3D cell " << i;
+    }
+  }
+}
+
+TEST(GridStorage, CopiesAreDeepAndMovedFromGridsStayDestructible) {
+  Grid2D<float> a(6, 4);
+  fill_random(a, 3);
+  Grid2D<float> b = a;
+  ASSERT_NE(b.data(), a.data());
+  EXPECT_EQ(0, std::memcmp(a.data(), b.data(), 24 * sizeof(float)));
+  b.at(2, 1) = 42.0f;
+  EXPECT_NE(a.at(2, 1), 42.0f);
+  Grid2D<float> c(2, 2);
+  c = a;
+  EXPECT_EQ(c.width(), 6);
+  ASSERT_NE(c.data(), a.data());
+  EXPECT_EQ(0, std::memcmp(a.data(), c.data(), 24 * sizeof(float)));
+
+  Grid3D<float> p(3, 2, 4);
+  fill_random(p, 4);
+  Grid3D<float> q = p;
+  ASSERT_NE(q.data(), p.data());
+  EXPECT_EQ(0, std::memcmp(p.data(), q.data(), 24 * sizeof(float)));
+  q.at(1, 1, 3) = 7.0f;
+  EXPECT_NE(p.at(1, 1, 3), 7.0f);
+
+  // Moved-from grids own nothing, can be assigned again, and are destroyed
+  // at scope exit without a double free.
+  const Grid2D<float> moved = std::move(a);
+  EXPECT_EQ(a.data(), nullptr);
+  EXPECT_EQ(0, std::memcmp(moved.data(), c.data(), 24 * sizeof(float)));
+  a = Grid2D<float>(3, 3, 1.0f);
+  EXPECT_EQ(a.at(2, 2), 1.0f);
+  Grid3D<float> r(std::move(p));
+  EXPECT_EQ(p.data(), nullptr);
+  p = std::move(r);
+  EXPECT_EQ(r.data(), nullptr);
+  EXPECT_EQ(0, std::memcmp(p.data(), q.data(), 4 * sizeof(float)));
 }
 
 TEST(Rng, DeterministicAcrossRuns) {

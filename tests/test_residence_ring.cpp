@@ -10,7 +10,10 @@
 // SSAM_RING_CASES=1 SSAM_RING_SEED=<seed>): sweeps {1,2,3,5} (2 is the
 // smallest fused-first run), pool sizes {1,2,4}, and the engines that share
 // the tile state machine — 2D, 3D, 2D sharded(2) on an explicit device
-// group, and a depth-3 chain. Directed tests abort a run mid-ring (a
+// group, and a depth-3 chain. A directed test overwrites a warm
+// workspace's arena and scratch with NaN bytes before each run: every
+// engine path must still equal a fresh-workspace run, so no sweep reads a
+// residence byte it did not write. Directed tests abort a run mid-ring (a
 // cancellation and an injected sweep fault): it must end with a typed
 // error, not hang, and leave the workspace fit for a clean rerun.
 #include <gtest/gtest.h>
@@ -21,6 +24,8 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
+#include <functional>
 #include <future>
 #include <limits>
 #include <set>
@@ -337,6 +342,174 @@ TEST(RingStats, RunStatsAndPolicyLogReportTheRing) {
             std::string::npos)
       << log;
   ASSERT_TRUE(bits_equal(ra.data(), pa.data(), static_cast<std::size_t>(src.size())));
+}
+
+// ------------------------------------------------------- stale residence
+
+/// Overwrites the first bytes of a warm workspace's arena and scratch with
+/// 0xFF, a NaN as a float. A run that reads a residence byte before writing
+/// it then differs from a fresh-workspace run.
+void poison(sim::PersistentWorkspace& ws, std::size_t arena_bytes,
+            std::size_t scratch_bytes) {
+  if (arena_bytes > 0) std::memset(ws.arena(arena_bytes), 0xFF, arena_bytes);
+  if (scratch_bytes > 0) std::memset(ws.scratch(scratch_bytes), 0xFF, scratch_bytes);
+}
+
+TEST(RingReuse, PoisonedWarmWorkspaceMatchesAFreshOne) {
+  // Each engine path runs on a brand-new workspace, then twice on one warm
+  // workspace shared by every case: the second warm run starts from an
+  // arena and scratch block overwritten with NaN bytes, sized from the
+  // first warm run's residence_bytes. Every tile count is far above the
+  // ring, so each slot turns over. Outputs must equal the fresh run's.
+  const int pool = ThreadPool::global().size();
+  const int sweeps = 3;
+  const int tiles = 4 * ring_for(sweeps, pool);
+  const core::StencilShape<float> star2 = core::star2d<float>(1);
+  const Index w = 40;
+  const Index h = window_for(1, rows_halo(star2)) * tiles;  // one band per tile
+  const std::size_t grid_bytes = static_cast<std::size_t>(w * h) * sizeof(float);
+  Grid2D<float> src2(w, h), aux2(w, h);
+  fill_random(src2, 71);
+  fill_random(aux2, 72);
+  core::StencilShape<float> star3 = core::star3d<float>(1);
+  for (auto& tap : star3.taps) tap.coeff = 0.1f;
+  const Index nz = static_cast<Index>(core::PersistentOptions{}.warps3d - 2) * tiles;
+  Grid3D<float> src3(12, 8, nz), aux3(12, 8, nz);
+  fill_random(src3, 73);
+  fill_random(aux3, 74);
+  auto wave2 = [](GridView2D<float> next, GridView2D<const float> cur, GridView2D<float> aux) {
+    for (Index y = 0; y < next.height(); ++y) {
+      for (Index x = 0; x < next.width(); ++x) {
+        const float p = cur.at(x, y);
+        next.at(x, y) = 2.0f * p - aux.at(x, y) + 0.2f * next.at(x, y);
+        aux.at(x, y) = p;
+      }
+    }
+  };
+  auto wave3 = [](GridView3D<float> next, GridView3D<const float> cur, GridView3D<float> aux) {
+    for (Index z = 0; z < next.nz(); ++z) {
+      for (Index y = 0; y < next.ny(); ++y) {
+        for (Index x = 0; x < next.nx(); ++x) {
+          const float p = cur.at(x, y, z);
+          next.at(x, y, z) = 2.0f * p - aux.at(x, y, z) + 0.2f * next.at(x, y, z);
+          aux.at(x, y, z) = p;
+        }
+      }
+    }
+  };
+  std::vector<core::ChainStage<float>> stages(3, core::ChainStage<float>::stencil(star2));
+  stages[1] = stages[1].with_map([](float v) { return v * 0.5f; });
+
+  core::PersistentOptions opt;
+  opt.policy = core::IterationPolicy::kPersistent;
+  opt.tiles = tiles;
+  core::PersistentOptions staged = opt;
+  staged.policy = core::IterationPolicy::kRelaunch;
+
+  // One run of a case from its pristine inputs: its outputs (state and
+  // aux, or the chain output) and its stats.
+  struct Out {
+    std::vector<float> cells;
+    core::PersistentRunStats st;
+  };
+  auto append = [](std::vector<float>& v, const float* p, Index n) {
+    v.insert(v.end(), p, p + n);
+  };
+  using Case = std::function<Out(sim::PersistentWorkspace&, sim::DeviceGroup&)>;
+  const std::vector<std::pair<const char*, Case>> cases = {
+      {"2d fused ends",
+       [&](sim::PersistentWorkspace& ws, sim::DeviceGroup&) {
+         Grid2D<float> a = src2, b(w, h);
+         Out o;
+         o.st = core::iterate_stencil2d_persistent<float>(sim::tesla_v100(), a, b, star2, sweeps,
+                                                          opt, {}, nullptr, &ws);
+         append(o.cells, a.data(), a.size());
+         return o;
+       }},
+      {"2d staged ends, post hook and aux",
+       [&](sim::PersistentWorkspace& ws, sim::DeviceGroup&) {
+         Grid2D<float> a = src2, b(w, h), aux = aux2;
+         Out o;
+         o.st = core::iterate_stencil2d_persistent<float>(sim::tesla_v100(), a, b, star2, sweeps,
+                                                          opt, wave2, &aux, &ws);
+         append(o.cells, a.data(), a.size());
+         append(o.cells, aux.data(), aux.size());
+         return o;
+       }},
+      {"3d fused ends",
+       [&](sim::PersistentWorkspace& ws, sim::DeviceGroup&) {
+         Grid3D<float> a = src3, b(12, 8, nz);
+         Out o;
+         o.st = core::iterate_stencil3d_persistent<float>(sim::tesla_v100(), a, b, star3, sweeps,
+                                                          opt, {}, nullptr, &ws);
+         append(o.cells, a.data(), a.size());
+         return o;
+       }},
+      {"3d staged ends, post hook and aux",
+       [&](sim::PersistentWorkspace& ws, sim::DeviceGroup&) {
+         Grid3D<float> a = src3, b(12, 8, nz), aux = aux3;
+         Out o;
+         o.st = core::iterate_stencil3d_persistent<float>(sim::tesla_v100(), a, b, star3, sweeps,
+                                                          opt, wave3, &aux, &ws);
+         append(o.cells, a.data(), a.size());
+         append(o.cells, aux.data(), aux.size());
+         return o;
+       }},
+      {"fused chain",
+       [&](sim::PersistentWorkspace& ws, sim::DeviceGroup&) {
+         Grid2D<float> out(w, h);
+         Out o;
+         o.st = core::run_chain2d<float>(sim::tesla_v100(), src2, out, stages, opt, &ws);
+         append(o.cells, out.data(), out.size());
+         return o;
+       }},
+      {"staged chain",
+       [&](sim::PersistentWorkspace& ws, sim::DeviceGroup&) {
+         Grid2D<float> out(w, h);
+         Out o;
+         o.st = core::run_chain2d<float>(sim::tesla_v100(), src2, out, stages, staged, &ws);
+         append(o.cells, out.data(), out.size());
+         return o;
+       }},
+      {"2d sharded(2)",
+       [&](sim::PersistentWorkspace&, sim::DeviceGroup& group) {
+         core::PersistentOptions so = opt;
+         so.tiles = 4 * ring_for(sweeps, 1) * 2;
+         so.shard = core::ShardPolicy::sharded(2, &group);
+         Grid2D<float> a = src2, b(w, h);
+         Out o;
+         o.st = core::iterate_stencil2d_persistent<float>(sim::tesla_v100(), a, b, star2, sweeps,
+                                                          so);
+         append(o.cells, a.data(), a.size());
+         return o;
+       }},
+  };
+
+  sim::PersistentWorkspace warm;
+  sim::DeviceGroup warm_group(two_devices(1));
+  for (const auto& [name, run] : cases) {
+    SCOPED_TRACE(name);
+    sim::PersistentWorkspace fresh;
+    sim::DeviceGroup fresh_group(two_devices(1));
+    const Out want = run(fresh, fresh_group);
+    const Out first = run(warm, warm_group);
+    ASSERT_TRUE(bits_equal(want.cells.data(), first.cells.data(), want.cells.size()));
+    // The staged chain ping-pongs through two grid-sized scratch buffers.
+    const std::size_t scratch = first.st.persistent ? 0 : 2 * grid_bytes;
+    if (first.st.sharded) {
+      ASSERT_GT(first.st.residence_bytes, 0u);
+      for (int d = 0; d < warm_group.size(); ++d) {
+        poison(warm_group.device(d).workspace(), first.st.residence_bytes, 0);
+      }
+    } else {
+      ASSERT_EQ(first.st.persistent, first.st.residence_bytes > 0);
+      poison(warm, first.st.residence_bytes, scratch);
+    }
+    const Out got = run(warm, warm_group);
+    EXPECT_EQ(got.st.persistent, want.st.persistent);
+    EXPECT_GE(got.st.tiles, 2 * got.st.ring_slots * got.st.devices) << "ring never turned over";
+    ASSERT_TRUE(bits_equal(want.cells.data(), got.cells.data(), want.cells.size()));
+  }
 }
 
 // ------------------------------------------------------------ mid-ring abort
